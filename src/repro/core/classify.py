@@ -28,109 +28,13 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.cellindex import CellIndex
 from repro.core.grid import Grid, cell_side_length, validate_points
 from repro.core.neighbors import NeighborStencil
 from repro.exceptions import DataValidationError, ParameterError
 from repro.types import DetectionResult
 
 __all__ = ["CoreModel", "classify"]
-
-
-def _match_rows(
-    rows: np.ndarray, table: np.ndarray, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Match ``rows + offset`` against ``table`` for every stencil offset.
-
-    Args:
-        rows: ``(q, d)`` integer cell coordinates (unique query cells).
-        table: ``(m, d)`` integer cell coordinates (unique core cells).
-        offsets: ``(k_d, d)`` stencil offsets.
-
-    Returns:
-        ``(sources, hits, own)``: flat parallel arrays where
-        ``table[hits[j]]`` is a stencil neighbor of ``rows[sources[j]]``
-        (pairs in offset-major order), plus ``own`` — a ``(q,)`` array
-        holding the index of each row in ``table`` (``-1`` when absent,
-        i.e. the zero-offset match).
-
-    Uses a packed-int64 sort/searchsorted fast path shared between the
-    two cell sets and falls back to a dictionary when the combined
-    coordinate spans exceed 62 bits.
-    """
-    n_rows, n_dims = rows.shape
-    n_table = table.shape[0]
-    own = np.full(n_rows, -1, dtype=np.int64)
-    if n_rows == 0 or n_table == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            own,
-        )
-    packer = _shared_packer(rows, table, offsets)
-    if packer is None:
-        lookup = {
-            tuple(int(c) for c in row): i for i, row in enumerate(table)
-        }
-        sources_list: list[int] = []
-        hits_list: list[int] = []
-        offset_tuples = [tuple(int(j) for j in off) for off in offsets]
-        row_tuples = [tuple(int(c) for c in row) for row in rows]
-        for off in offset_tuples:
-            for i, cell in enumerate(row_tuples):
-                hit = lookup.get(tuple(c + j for c, j in zip(cell, off)))
-                if hit is not None:
-                    sources_list.append(i)
-                    hits_list.append(hit)
-                    if not any(off):
-                        own[i] = hit
-        return (
-            np.array(sources_list, dtype=np.int64),
-            np.array(hits_list, dtype=np.int64),
-            own,
-        )
-    table_keys = packer(table)
-    sort_order = np.argsort(table_keys, kind="stable")
-    sorted_keys = table_keys[sort_order]
-    all_sources: list[np.ndarray] = []
-    all_hits: list[np.ndarray] = []
-    for off in offsets:
-        candidate_keys = packer(rows + off)
-        positions = np.searchsorted(sorted_keys, candidate_keys)
-        positions = np.minimum(positions, n_table - 1)
-        hit = sorted_keys[positions] == candidate_keys
-        sources = np.flatnonzero(hit)
-        hits = sort_order[positions[hit]]
-        all_sources.append(sources)
-        all_hits.append(hits)
-        if not off.any():
-            own[sources] = hits
-    return np.concatenate(all_sources), np.concatenate(all_hits), own
-
-
-def _shared_packer(
-    rows: np.ndarray, table: np.ndarray, offsets: np.ndarray
-):
-    """Packer covering both cell sets plus any stencil shift, or ``None``.
-
-    Mirrors ``repro.core.vectorized._make_packer`` but sizes the
-    per-dimension bit fields over the union of the two coordinate sets
-    so one key space serves the query-to-core matching.
-    """
-    reach = int(np.abs(offsets).max()) if offsets.size else 0
-    mins = np.minimum(rows.min(axis=0), table.min(axis=0)) - reach
-    maxs = np.maximum(rows.max(axis=0), table.max(axis=0)) + reach
-    spans = maxs - mins + 1
-    bits = [int(span).bit_length() + 1 for span in spans]
-    if sum(bits) > 62:
-        return None
-
-    def packer(cells: np.ndarray) -> np.ndarray:
-        keys = np.zeros(cells.shape[0], dtype=np.int64)
-        for dim in range(cells.shape[1]):
-            keys = (keys << bits[dim]) | (cells[:, dim] - mins[dim])
-        return keys
-
-    return packer
 
 
 @dataclass(frozen=True)
@@ -157,6 +61,12 @@ class CoreModel:
         n_train: Number of training points the detector was fitted on.
         engine: Name of the engine that produced the fit.
         metadata: Free-form facts carried along (artifact name, ...).
+
+    Construction also builds the :class:`~repro.core.cellindex.CellIndex`
+    of ``core_cells`` that every :meth:`classify` call probes, so its
+    cost (a sort of the core-cell keys, 16 bytes per core cell) is paid
+    once per model — at fit, artifact load or snapshot export — and
+    never per query.
     """
 
     eps: float
@@ -168,6 +78,7 @@ class CoreModel:
     n_train: int = 0
     engine: str = "vectorized"
     metadata: dict[str, Any] = field(default_factory=dict)
+    _index: CellIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         points = np.ascontiguousarray(self.core_points, dtype=np.float64)
@@ -197,6 +108,11 @@ class CoreModel:
         object.__setattr__(self, "core_points", points)
         object.__setattr__(self, "core_cells", cells)
         object.__setattr__(self, "core_starts", starts)
+        object.__setattr__(
+            self,
+            "_index",
+            CellIndex(cells, NeighborStencil(self.n_dims).offsets),
+        )
 
     # -- construction --------------------------------------------------
 
@@ -394,7 +310,10 @@ class CoreModel:
             :meth:`repro.types.DetectionResult.labels`.
         """
         from repro.core.kernels import resolve_kernel
-        from repro.core.vectorized import _flat_ranges
+        from repro.core.vectorized import (
+            _ADJACENCY_PROBE_BUDGET,
+            _flat_ranges,
+        )
 
         # An empty query batch — (0, d), (0,), [] — has exactly zero
         # labels, whatever its shape claims about dimensionality.
@@ -419,49 +338,47 @@ class CoreModel:
             labels[:] = 1
             return labels
         qgrid = Grid(array, self.eps)
-        stencil = NeighborStencil(self.n_dims)
-        sources, hits, own = _match_rows(
-            qgrid.cells, self.core_cells, stencil.offsets
-        )
         # Lemma 1 shortcut: a query in a core cell shares a
         # diagonal-eps cell with a core point, hence is an inlier —
         # exactly how fit settles points of core cells, so the
         # bit-consistency on training data is by construction.
-        settled = own >= 0
+        settled = self._index.find(qgrid.cells) >= 0
         counters["cells_settled_core"] += int(settled.sum())
-        keep = ~settled[sources]
-        sources, hits = sources[keep], hits[keep]
-        # Candidate core points per unsettled query cell, CSR-grouped.
+        work = np.flatnonzero(~settled)
+        sources, hits = self._index.probe(
+            qgrid.cells[work], _ADJACENCY_PROBE_BUDGET
+        )
+        # Candidate core cells per unsettled query cell, CSR-grouped in
+        # stencil-offset order; sources index ``work``.
         order_pairs = np.argsort(sources, kind="stable")
         sources, hits = sources[order_pairs], hits[order_pairs]
-        per_hit = (
-            self.core_starts[hits + 1] - self.core_starts[hits]
-        )
-        pair_lens = np.bincount(
-            sources, minlength=qgrid.n_cells
-        )
+        starts = self.core_starts
+        per_hit = starts[hits + 1] - starts[hits]
+        pair_lens = np.bincount(sources, minlength=work.shape[0])
         c_sizes = np.bincount(
-            sources, weights=per_hit, minlength=qgrid.n_cells
+            sources, weights=per_hit, minlength=work.shape[0]
         ).astype(np.int64)
-        cands_flat = _flat_ranges(self.core_starts[hits], per_hit)
-        work = np.flatnonzero(~settled)
-        counters["cells_no_candidates"] += int(
-            (pair_lens[work] == 0).sum()
+        counters["cells_no_candidates"] += int((pair_lens == 0).sum())
+        # The kernel sees the queries followed by the points of the core
+        # cells the probe hit, each gathered once: targets index the
+        # query block, candidates the gathered block after it.
+        used, local = np.unique(hits, return_inverse=True)
+        used_sizes = starts[used + 1] - starts[used]
+        gathered = self.core_points[_flat_ranges(starts[used], used_sizes)]
+        used_starts = n_queries + np.concatenate(
+            ([0], np.cumsum(used_sizes)[:-1])
         )
+        cands_flat = _flat_ranges(used_starts[local], per_hit)
         qorder, qstarts = qgrid.members_csr()
         members_flat = qorder[
             _flat_ranges(qstarts[work], qgrid.counts[work])
         ]
-        # One concatenated array lets the fit engines' exact distance
-        # kernel run unchanged: targets index the query block,
-        # candidates index the core block at offset n_queries.
-        stacked = np.concatenate([array, self.core_points], axis=0)
         counts = resolve_kernel(kernel, counters).segmented_pair_counts(
-            stacked,
+            np.concatenate([array, gathered], axis=0),
             members_flat,
             qgrid.counts[work],
-            cands_flat + n_queries,
-            c_sizes[work],
+            cands_flat,
+            c_sizes,
             self.eps * self.eps,
             counters,
         )

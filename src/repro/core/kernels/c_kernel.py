@@ -26,6 +26,7 @@ allowed to take the engines down.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import pathlib
@@ -52,20 +53,37 @@ _C_INT64_P = ctypes.POINTER(ctypes.c_int64)
 
 
 def _compiler() -> str | None:
-    """The C compiler to use, or ``None`` when none is available."""
-    explicit = os.environ.get("CC")
+    """The C compiler to use, or ``None`` when none is available.
+
+    Every kernel resolve asks, so the answer is memoized on the raw
+    ``$CC`` and ``$PATH`` values: the lookup is a ``$PATH`` scan, one
+    ``stat`` per directory, and changing either variable re-resolves.
+    """
+    return _find_compiler(os.environ.get("CC"), os.environ.get("PATH"))
+
+
+@functools.lru_cache(maxsize=16)
+def _find_compiler(explicit: str | None, path: str | None) -> str | None:
     if explicit:
-        found = shutil.which(explicit)
+        found = shutil.which(explicit, path=path)
         return found or explicit  # let subprocess surface the error
     for candidate in ("gcc", "cc", "clang"):
-        found = shutil.which(candidate)
+        found = shutil.which(candidate, path=path)
         if found:
             return found
     return None
 
 
 def _cache_dir() -> pathlib.Path:
-    override = os.environ.get("REPRO_KERNEL_CACHE")
+    """The compiled-library cache directory, memoized like :func:`_compiler`
+    on the raw ``$REPRO_KERNEL_CACHE`` and ``$HOME`` values."""
+    return _find_cache_dir(
+        os.environ.get("REPRO_KERNEL_CACHE"), os.environ.get("HOME")
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _find_cache_dir(override: str | None, home: str | None) -> pathlib.Path:
     if override:
         return pathlib.Path(override)
     return pathlib.Path.home() / ".cache" / "repro" / "kernels"

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.cellindex import CellIndex
 from repro.core.celltree import build_tree_adjacency
 from repro.core.grid import Grid, validate_points
 from repro.core.kernels import (
@@ -92,9 +93,10 @@ TREE_PLANNER_MIN_DIMS = 4
 #: inputs.
 MIN_PAIRS_FOR_POOL = 200_000
 
-#: Stencil adjacency probes at most this many (cell, offset) keys per
-#: searchsorted batch, bounding the peak int64 scratch at ~3 arrays of
-#: this length regardless of grid size.
+#: Stencil probes (adjacency and ``CoreModel.classify``) search at most
+#: this many (cell, offset) keys per searchsorted batch, bounding the
+#: peak int64 scratch at ~3 arrays of this length regardless of grid or
+#: batch size.
 _ADJACENCY_PROBE_BUDGET = 4_000_000
 
 
@@ -110,55 +112,17 @@ def build_cell_adjacency(
     Returns:
         ``(targets, starts)``: the neighbors (present in ``cells``,
         self included) of cell ``i`` are
-        ``targets[starts[i]:starts[i + 1]]``, as indices into ``cells``.
+        ``targets[starts[i]:starts[i + 1]]``, as indices into ``cells``,
+        in stencil-offset order.
 
-    Uses a packed-int64 sort/searchsorted fast path and falls back to a
-    dictionary when coordinate spans exceed 62 bits.
+    A probe of a :class:`~repro.core.cellindex.CellIndex` of the cells
+    themselves, in blocks of at most ``_ADJACENCY_PROBE_BUDGET`` keys.
     """
     n_cells = cells.shape[0]
     if n_cells == 0:
         return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    packed, packer = _make_packer(cells, stencil)
-    if packed is None:
-        lookup = {
-            tuple(int(c) for c in row): i for i, row in enumerate(cells)
-        }
-        targets_list: list[int] = []
-        starts_list = [0]
-        for row in cells:
-            cell = tuple(int(c) for c in row)
-            targets_list.extend(
-                lookup[neighbor]
-                for neighbor in stencil.neighbors_of(cell)
-                if neighbor in lookup
-            )
-            starts_list.append(len(targets_list))
-        return (
-            np.array(targets_list, dtype=np.int64),
-            np.array(starts_list, dtype=np.int64),
-        )
-    sort_order = np.argsort(packed, kind="stable")
-    sorted_keys = packed[sort_order]
-    # The pack is linear with a guard bit per field (_make_packer) and
-    # offsets stay inside the reach-widened range, so shifting any cell
-    # by a fixed stencil offset shifts its key by a fixed delta: probe
-    # blocks of offsets with one searchsorted each instead of
-    # re-packing (m, d) coordinates k_d times.
-    deltas = packer(cells[0] + stencil.offsets) - packed[0]
-    all_sources: list[np.ndarray] = []
-    all_targets: list[np.ndarray] = []
-    block = max(1, _ADJACENCY_PROBE_BUDGET // n_cells)
-    for start in range(0, deltas.shape[0], block):
-        candidate_keys = (
-            packed[None, :] + deltas[start : start + block, None]
-        ).ravel()
-        positions = np.searchsorted(sorted_keys, candidate_keys)
-        np.minimum(positions, n_cells - 1, out=positions)
-        hit = np.flatnonzero(sorted_keys[positions] == candidate_keys)
-        all_sources.append(hit % n_cells)
-        all_targets.append(sort_order[positions[hit]])
-    sources = np.concatenate(all_sources)
-    targets = np.concatenate(all_targets)
+    index = CellIndex(cells, stencil.offsets)
+    sources, targets = index.probe(index.cells, _ADJACENCY_PROBE_BUDGET)
     order = np.argsort(sources, kind="stable")
     counts = np.bincount(sources, minlength=n_cells)
     return targets[order], np.concatenate(([0], np.cumsum(counts)))
@@ -226,33 +190,6 @@ class _CellAdjacency:
         return self._targets[
             self._starts[cell_index] : self._starts[cell_index + 1]
         ]
-
-
-def _make_packer(cells: np.ndarray, stencil: NeighborStencil):
-    """Return (packed_keys, packer) or (None, None) if packing overflows.
-
-    The packer must accommodate cells shifted by any stencil offset, so
-    the per-dimension range is widened by the stencil reach on each side.
-    Keys of shifted cells that fall outside the widened range cannot
-    collide with real cell keys because each dimension gets its own bit
-    field plus one guard bit.
-    """
-    if cells.shape[0] == 0:
-        return np.empty(0, dtype=np.int64), lambda rows: np.empty(0, np.int64)
-    reach = int(np.abs(stencil.offsets).max())
-    mins = cells.min(axis=0) - reach
-    spans = cells.max(axis=0) + reach - mins + 1
-    bits = [int(span).bit_length() + 1 for span in spans]
-    if sum(bits) > 62:
-        return None, None
-
-    def packer(rows: np.ndarray) -> np.ndarray:
-        keys = np.zeros(rows.shape[0], dtype=np.int64)
-        for dim in range(rows.shape[1]):
-            keys = (keys << bits[dim]) | (rows[:, dim] - mins[dim])
-        return keys
-
-    return packer(cells), packer
 
 
 def _flat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ no usable compiler the C kernel silently degrades to NumPy, increments
 """
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -22,6 +23,7 @@ from repro.core.kernels import (
     normalize_pair_budget,
     resolve_kernel,
 )
+from repro.core.kernels import c_kernel
 from repro.core.kernels.base import DEFAULT_PAIR_BUDGET
 from repro.core.kernels.c_kernel import c_kernel_status, get_c_kernel
 from repro.core.vectorized import VectorizedEngine
@@ -229,6 +231,37 @@ print(json.dumps({
         status = c_kernel_status()
         assert status["available"] is False
         assert status["reason"]
+
+
+class TestCompilerLookup:
+    """The compiler lookup is a $PATH scan memoized on $CC and $PATH;
+    the cache directory is memoized on $REPRO_KERNEL_CACHE and $HOME."""
+
+    def test_repeated_resolves_scan_once_and_cc_change_rescans(
+        self, tmp_path, monkeypatch
+    ):
+        scanned = []
+        real_which = shutil.which
+
+        def counting_which(cmd, *args, **kwargs):
+            scanned.append(cmd)
+            return real_which(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(c_kernel.shutil, "which", counting_which)
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        first, second = str(tmp_path / "cc-one"), str(tmp_path / "cc-two")
+        monkeypatch.setenv("CC", first)
+        for _ in range(5):
+            assert resolve_kernel("c", {}).name == "numpy"
+        assert scanned == [first]
+        monkeypatch.setenv("CC", second)
+        counters = {}
+        assert resolve_kernel("c", counters).name == "numpy"
+        assert counters["kernel.fallback"] == 1
+        assert scanned == [first, second]
+        assert c_kernel_status()["compiler"] == second
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "other"))
+        assert c_kernel._cache_dir() == tmp_path / "other"
 
 
 class TestKernelInterface:

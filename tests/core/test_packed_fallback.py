@@ -1,15 +1,18 @@
 """Regression tests for the >62-bit packed-key fallback paths.
 
-Both ``Grid._build_index`` and ``build_cell_adjacency`` pack integer
-cell coordinates into a single int64 key when the per-dimension spans
-fit in 62 bits combined, and fall back to row-wise handling otherwise.
-These tests pin the fallback paths to the packed paths' behavior using
-coordinate spans wide enough (two clusters ~2^33 cells apart per
-dimension in 2-D) that packing is impossible.
+``Grid._build_index`` and ``CellIndex`` (behind ``build_cell_adjacency``
+and ``CoreModel.classify``) pack integer cell coordinates into a single
+int64 key when the per-dimension spans fit in 62 bits combined, and
+fall back to row-wise handling otherwise.  These tests pin the fallback
+paths to the packed paths' behavior using coordinate spans wide enough
+(two clusters ~2^33 cells apart per dimension in 2-D) that packing is
+impossible.
 """
 
 import numpy as np
+import pytest
 
+from repro.core.classify import CoreModel
 from repro.core.grid import Grid, _pack_columns, cell_side_length
 from repro.core.neighbors import NeighborStencil
 from repro.core.reference import brute_force_detect
@@ -121,4 +124,27 @@ class TestAdjacencyFallback:
         assert np.array_equal(wide.outlier_mask[:n_local], narrow.outlier_mask)
         assert np.array_equal(
             wide.outlier_mask[n_local:], narrow.outlier_mask
+        )
+
+
+class TestClassifyFallback:
+    @pytest.mark.parametrize("kernel", ["numpy", "c"])
+    def test_classify_matches_brute_force(self, kernel):
+        _, combined = _two_far_clusters()
+        expected = brute_force_detect(combined, EPS, 8)
+        model = CoreModel.from_fit(combined, expected, EPS, 8)
+        assert not model._index.packed
+        np.testing.assert_array_equal(
+            model.classify(combined, kernel=kernel), expected.labels()
+        )
+        # Out of sample: jittered copies near both clusters, each judged
+        # against the core points by Definition 3.
+        rng = np.random.default_rng(1)
+        queries = combined + rng.normal(0.0, 0.5, size=combined.shape)
+        core = combined[expected.core_mask]
+        sq = ((queries[:, None, :] - core[None, :, :]) ** 2).sum(axis=2)
+        outliers = (sq > EPS * EPS).all(axis=1).astype(np.int64)
+        assert 0 < outliers.sum() < outliers.shape[0]
+        np.testing.assert_array_equal(
+            model.classify(queries, kernel=kernel), outliers
         )
