@@ -13,8 +13,8 @@ the common case for tracking feeds) through the wire protocol:
 Every ingest batch triggers a snapshot + atomic hot swap, so remote
 queries always see a model that is bit-identical to re-running batch
 DBSCOUT on everything received so far — asserted at every step, while
-the served incremental path re-evaluates only the affected
-neighborhoods instead of refitting.
+the served incremental path re-detects only the dirty cells' two-ring
+instead of refitting.
 
 Run with:  python examples/streaming_gps_feed.py
 """

@@ -1,140 +1,71 @@
-"""Incremental DBSCOUT: exact outlier maintenance under insertions.
+"""Incremental DBSCOUT: exact outlier maintenance under insert and remove.
 
-The paper's motivating datasets (GPS collections) grow continuously.
-This extension maintains the DBSCOUT result across batched insertions
-without recomputing from scratch: the grid is updated in place, and
-only the *affected region* of each insertion batch is re-evaluated.
-
-Locality argument (why this is exact):
-
-* A point's **core status** depends only on points in its cell's
-  neighborhood, so inserting points into a set of cells ``D`` (the
-  dirty cells) can only change core status inside
-  ``D ∪ N(D)`` — every cell whose neighborhood intersects ``D``.
-* A point's **outlier status** depends only on core points in its
-  cell's neighborhood, so it can only change in cells whose
-  neighborhood intersects the cells where the core set changed (or
-  where points were inserted).
-
-The same locality covers **deletions** (:meth:`IncrementalDBSCOUT.remove`),
-so a sliding window — insert the new batch, remove the expired one —
-costs only its affected neighborhoods.
-
-``detect()`` therefore recomputes core flags for cells in ``N(D)``
-(the stencil is symmetric, so ``N(D)`` covers both directions), finds
-the cells whose core-point set actually changed, and re-evaluates
-outlier flags only in the neighborhoods of those cells.  Equivalence
-with the batch engine after every insertion sequence is enforced by
-the test suite (including a hypothesis property over random insertion
-orders).
-
-Amortized cost per batch is proportional to the affected volume, so a
-stream of spatially local batches is processed far faster than
-re-running batch DBSCOUT each time (see
-``benchmarks/bench_ablation_incremental.py``).
+Insertions and removals dirty the cells ``D`` they touch.  By Lemmas 1-2
+and Definition 8, core status can then change only in ``R1 = N(D)``
+(the non-empty cells with a neighbor in ``D``) and outlier status only
+in ``R2 = N(C ∪ D)``, where ``C`` holds the cells of ``R1`` whose core
+set changed.  So ``detect()`` grids the active points, indexes the
+cells, runs the batch engine's own core round on ``R1``'s non-dense
+cells and its outlier round on ``R2``'s non-core cells (Lemma 2), each
+with adjacency rows for its work cells alone, and writes back ``R1`` and
+``R2`` only.  The first ``detect()`` after a fill dirties every cell.
 """
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 
-from repro.core.grid import (
-    cell_side_length,
-    check_grid_domain,
-    validate_points,
-)
+from repro.core.cellindex import CellIndex
+from repro.core.grid import Grid, cell_side_length, check_grid_domain, validate_points
 from repro.core.kernels import normalize_kernel, resolve_kernel
-from repro.core.kernels.numpy_kernel import sq_dists as _sq_dists_kernel
 from repro.core.neighbors import NeighborStencil
 from repro.core.validation import validate_parameters
+from repro.core.vectorized import VectorizedEngine, _CellAdjacency, _flat_ranges
 from repro.exceptions import DataValidationError, ParameterError
 from repro.obs import MetricsRegistry, RunRecorder, span
 from repro.types import DetectionResult
 
 __all__ = ["IncrementalDBSCOUT"]
 
-Cell = tuple[int, ...]
-
-
-def _sq_dists(targets: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Squared distances accumulated per dimension, in order.
-
-    All engines and the reference oracle share this accumulation order
-    (``sq += delta * delta`` over dimensions); reductions with a
-    different association (``einsum``, BLAS dot) can round one ulp
-    away and flip an exactly-at-eps comparison.  Kept as a module
-    function for compatibility; the implementation now lives in
-    :mod:`repro.core.kernels` and the detector routes through its
-    configured kernel tier.
-    """
-    return _sq_dists_kernel(targets, candidates)
+#: Keys per ``CellIndex.probe`` block: a detect's four probes stay small.
+_REGION_PROBE_BUDGET = 250_000
 
 
 class IncrementalDBSCOUT:
-    """Exact DBSCOUT over a growing dataset.
+    """Exact DBSCOUT over a growing (or sliding) dataset.
 
     Usage:
-        >>> import numpy as np
         >>> detector = IncrementalDBSCOUT(eps=1.0, min_pts=3)
-        >>> detector.insert(np.array([[0.0, 0.0], [0.1, 0.1], [0.2, 0.0]]))
-        >>> detector.insert(np.array([[9.0, 9.0]]))
-        >>> result = detector.detect()
-        >>> result.outlier_mask.tolist()
+        >>> detector.insert([[0.0, 0.0], [0.1, 0.1], [0.2, 0.0], [9.0, 9.0]])
+        >>> detector.detect().outlier_mask.tolist()
         [False, False, False, True]
 
     Args:
         eps: Neighborhood radius.
         min_pts: Density threshold (self included).
         initial_capacity: Initial size of the internal point buffer.
-        kernel: Distance-kernel tier (``"auto"``/``"numpy"``/``"c"``
-            or a :class:`~repro.core.kernels.Kernel`); labels are
-            bit-identical for every choice.
+        kernel: Distance-kernel tier (``"auto"``/``"numpy"``/``"c"`` or a
+            :class:`~repro.core.kernels.Kernel`); labels are identical.
     """
 
-    def __init__(
-        self,
-        eps: float,
-        min_pts: int,
-        initial_capacity: int = 1024,
-        kernel: str | None = "auto",
-    ) -> None:
+    def __init__(self, eps: float, min_pts: int, initial_capacity: int = 1024,
+                 kernel: str | None = "auto") -> None:
         self.eps, self.min_pts = validate_parameters(eps, min_pts)
         if initial_capacity < 1:
-            raise ParameterError(
-                f"initial_capacity must be >= 1, got {initial_capacity}"
-            )
+            raise ParameterError(f"initial_capacity must be >= 1: {initial_capacity}")
         self.kernel = normalize_kernel(kernel)
-        self._kernel_counters: dict[str, int] = {}
         self._resolved_kernel = None  # lazy; cached across detects
-        #: Lifetime ``incremental.*`` counters; every :meth:`detect`
-        #: run record carries the current totals, and live serving
-        #: (:mod:`repro.stream`) folds them into its telemetry.
+        #: Lifetime ``incremental.*`` counters, carried by every run record.
         self.metrics = MetricsRegistry()
-        self._n_active = 0
         self._capacity = int(initial_capacity)
         self._n_points = 0
         self._n_dims: int | None = None
-        self._buffer: np.ndarray | None = None
-        self._side: float | None = None
-        self._stencil: NeighborStencil | None = None
-        self._cells: dict[Cell, list[int]] = {}
-        self._core_mask = np.zeros(0, dtype=bool)
-        self._outlier_mask = np.zeros(0, dtype=bool)
-        self._active_mask = np.zeros(0, dtype=bool)
-        self._dirty: set[Cell] = set()
-        # Memoized per-cell views, invalidated whenever the cell map
-        # mutates (insert/remove): detect() visits each cell's
-        # neighborhood several times, and rebuilding the neighbor
-        # lists and member arrays from scratch dominated churny
-        # streaming workloads.
-        self._mutation_version = 0
-        self._memo_version = -1
-        self._neighbor_memo: dict[Cell, list[Cell]] = {}
-        self._member_arrays: dict[Cell, np.ndarray] = {}
-
-    # ------------------------------------------------------------------
-    # Insertion
-    # ------------------------------------------------------------------
+        self._side = self._offsets = None  # fixed by the first batch
+        self._buffer = np.empty((0, 0))  # capacity rows, as are the masks
+        self._active = self._core = self._outlier = np.zeros(0, dtype=bool)
+        self._pending: list[np.ndarray] = []  # dirty cell coordinates
 
     @property
     def n_points(self) -> int:
@@ -146,34 +77,47 @@ class IncrementalDBSCOUT:
         """Dimensionality (None before the first insert)."""
         return self._n_dims
 
-    def _points_view(self) -> np.ndarray:
-        assert self._buffer is not None
-        return self._buffer[: self._n_points]
+    @property
+    def active_mask(self) -> np.ndarray:
+        """Boolean mask over all inserted points; False = removed."""
+        return self._active[: self._n_points].copy()
 
-    def _ensure_geometry(self, batch: np.ndarray) -> None:
+    @property
+    def n_active(self) -> int:
+        """Number of active (not removed) points."""
+        return int(np.count_nonzero(self._active[: self._n_points]))
+
+    def _append(self, batch, active, core=False, outlier=False) -> None:
+        """Store ``batch`` after the current points, growing the buffers."""
         if self._n_dims is None:
             self._n_dims = batch.shape[1]
             self._side = cell_side_length(self.eps, self._n_dims)
-            self._stencil = NeighborStencil(self._n_dims)
-            self._buffer = np.empty(
-                (self._capacity, self._n_dims), dtype=np.float64
-            )
+            self._offsets = NeighborStencil(self._n_dims).offsets
+            self._buffer = np.empty((0, self._n_dims))
         elif batch.shape[1] != self._n_dims:
             raise DataValidationError(
-                f"batch has {batch.shape[1]} dimensions, "
-                f"detector was built with {self._n_dims}"
+                f"batch has {batch.shape[1]} dimensions, detector has {self._n_dims}"
             )
+        check_grid_domain(batch, self._side)
+        start, stop = self._n_points, self._n_points + batch.shape[0]
+        arrays = [self._buffer, self._active, self._core, self._outlier]
+        if stop > self._buffer.shape[0]:
+            while self._capacity < stop:
+                self._capacity *= 2
+            for i, old in enumerate(arrays):
+                arrays[i] = np.zeros((self._capacity,) + old.shape[1:], old.dtype)
+                arrays[i][:start] = old[:start]
+            self._buffer, self._active, self._core, self._outlier = arrays
+        for array, rows in zip(arrays, (batch, active, core, outlier)):
+            array[start:stop] = rows
+        self._n_points = stop
 
-    def _grow_buffer(self, needed: int) -> None:
-        assert self._buffer is not None
-        while self._capacity < needed:
-            self._capacity *= 2
-        if self._buffer.shape[0] < self._capacity:
-            grown = np.empty(
-                (self._capacity, self._n_dims), dtype=np.float64
-            )
-            grown[: self._n_points] = self._buffer[: self._n_points]
-            self._buffer = grown
+    def _touch(self, rows: np.ndarray, op: str, done: str) -> None:
+        """Mark the cells of ``rows`` dirty and count the operation."""
+        self._pending.append(np.floor(rows / self._side).astype(np.int64))
+        self.metrics.increment(f"incremental.{op}")
+        self.metrics.increment(f"incremental.points_{done}", rows.shape[0])
+        self.metrics.set("incremental.window_points", self.n_active)
 
     def insert(self, points: np.ndarray) -> None:
         """Append a batch of points; marks their cells dirty."""
@@ -181,350 +125,141 @@ class IncrementalDBSCOUT:
         if batch.shape[0] == 0:
             return
         with span("incremental.insert", n_points=int(batch.shape[0])):
-            self._ensure_geometry(batch)
-            check_grid_domain(batch, self._side)
-            self._grow_buffer(self._n_points + batch.shape[0])
-            start = self._n_points
-            self._buffer[start : start + batch.shape[0]] = batch
-            self._n_points += batch.shape[0]
-
-            coords = np.floor(batch / self._side).astype(np.int64)
-            for offset, row in enumerate(coords):
-                cell = tuple(int(c) for c in row)
-                self._cells.setdefault(cell, []).append(start + offset)
-                self._dirty.add(cell)
-
-            # Grow the status masks; fresh points start undecided
-            # (False).
-            grown_core = np.zeros(self._n_points, dtype=bool)
-            grown_core[: start] = self._core_mask
-            self._core_mask = grown_core
-            grown_outlier = np.zeros(self._n_points, dtype=bool)
-            grown_outlier[: start] = self._outlier_mask
-            self._outlier_mask = grown_outlier
-            grown_active = np.ones(self._n_points, dtype=bool)
-            grown_active[: start] = self._active_mask
-            self._active_mask = grown_active
-            self._n_active += int(batch.shape[0])
-            self._mutation_version += 1
-        self.metrics.increment("incremental.inserts")
-        self.metrics.increment(
-            "incremental.points_inserted", int(batch.shape[0])
-        )
-        self.metrics.set("incremental.window_points", self._n_active)
+            self._append(batch, True)
+        self._touch(batch, "inserts", "inserted")
 
     def remove(self, point_indices) -> None:
-        """Logically delete points by their insertion indices.
+        """Logically delete points by insertion index; their cells turn dirty.
 
-        Removed points keep their index (results report them as
-        neither core nor outlier) but stop participating in any
-        neighborhood — enabling sliding-window detection.  Their cells
-        are marked dirty so the surrounding region is re-evaluated on
-        the next :meth:`detect`.
-
-        Raises:
-            ParameterError: If an index is out of range or the point
-                was already removed.
-        """
+        Removed points keep their index (neither core nor outlier).  Raises
+        ParameterError, changing nothing, for an out-of-range, repeated or
+        already removed index."""
         indices = np.atleast_1d(np.asarray(point_indices, dtype=np.int64))
         if indices.size == 0:
             return
         if indices.min() < 0 or indices.max() >= self._n_points:
-            raise ParameterError(
-                f"point indices must be in [0, {self._n_points}), "
-                f"got range [{indices.min()}, {indices.max()}]"
-            )
-        if not self._active_mask[indices].all():
-            raise ParameterError("some points were already removed")
+            raise ParameterError(f"point indices must be in [0, {self._n_points})")
+        if np.unique(indices).size != indices.size or not self._active[indices].all():
+            raise ParameterError("point indices must be unique and not removed")
         with span("incremental.remove", n_points=int(indices.size)):
-            points = self._points_view()
-            coords = np.floor(points[indices] / self._side).astype(np.int64)
-            for point_index, row in zip(indices, coords):
-                cell = tuple(int(c) for c in row)
-                members = self._cells[cell]
-                members.remove(int(point_index))
-                if not members:
-                    del self._cells[cell]
-                self._dirty.add(cell)
-            self._active_mask[indices] = False
-            self._core_mask[indices] = False
-            self._outlier_mask[indices] = False
-            self._n_active -= int(indices.size)
-            self._mutation_version += 1
-        self.metrics.increment("incremental.removes")
-        self.metrics.increment(
-            "incremental.points_removed", int(indices.size)
-        )
-        self.metrics.set("incremental.window_points", self._n_active)
+            for mask in (self._active, self._core, self._outlier):
+                mask[indices] = False
+        self._touch(self._buffer[indices], "removes", "removed")
 
-    @property
-    def active_mask(self) -> np.ndarray:
-        """Boolean mask over all inserted points; False = removed."""
-        return self._active_mask.copy()
-
-    @property
-    def n_active(self) -> int:
-        """Number of active (not removed) points."""
-        return self._n_active
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
+    def _dirty_cells(self) -> np.ndarray:
+        """The pending dirty cells: unique rows in lexicographic order."""
+        if not self._pending:
+            return np.empty((0, self._n_dims or 0), dtype=np.int64)
+        self._pending = [np.unique(np.concatenate(self._pending), axis=0)]
+        return self._pending[0]
 
     def save(self, path) -> None:
-        """Checkpoint the detector state to an ``.npz`` file.
-
-        Captures points, status masks, and the pending dirty set, so a
-        long-running monitor can restart exactly where it stopped.
-        """
-        import pathlib
-
-        path = pathlib.Path(path)
-        if self._n_points == 0:
+        """Checkpoint points, masks and pending dirty cells to ``.npz``."""
+        if (n := self._n_points) == 0:
             raise ParameterError("cannot checkpoint an empty detector")
-        if self._dirty:
-            dirty = np.array(sorted(self._dirty), dtype=np.int64)
-        else:
-            dirty = np.empty((0, self._n_dims), dtype=np.int64)
         np.savez_compressed(
-            path,
-            eps=np.array([self.eps]),
-            min_pts=np.array([self.min_pts]),
-            points=self._points_view().copy(),
-            core_mask=self._core_mask,
-            outlier_mask=self._outlier_mask,
-            active_mask=self._active_mask,
-            dirty=dirty,
+            pathlib.Path(path), eps=np.array([self.eps]),
+            min_pts=np.array([self.min_pts]), points=self._buffer[:n].copy(),
+            core_mask=self._core[:n], outlier_mask=self._outlier[:n],
+            active_mask=self._active[:n], dirty=self._dirty_cells(),
         )
 
     @classmethod
     def load(cls, path) -> "IncrementalDBSCOUT":
         """Restore a detector from a :meth:`save` checkpoint."""
-        import pathlib
-
         path = pathlib.Path(path)
         if not path.exists():
             raise DataValidationError(f"no checkpoint at {path}")
         with np.load(path) as archive:
-            eps = float(archive["eps"][0])
-            min_pts = int(archive["min_pts"][0])
-            points = archive["points"]
-            core_mask = archive["core_mask"]
-            outlier_mask = archive["outlier_mask"]
-            active_mask = archive["active_mask"]
-            dirty = archive["dirty"]
-        detector = cls(eps, min_pts, initial_capacity=max(points.shape[0], 1))
-        detector._ensure_geometry(points)
-        check_grid_domain(points, detector._side)
-        detector._buffer[: points.shape[0]] = points
-        detector._n_points = points.shape[0]
-        detector._core_mask = core_mask.astype(bool)
-        detector._outlier_mask = outlier_mask.astype(bool)
-        detector._active_mask = active_mask.astype(bool)
-        detector._n_active = int(detector._active_mask.sum())
-        detector.metrics.set(
-            "incremental.window_points", detector._n_active
-        )
-        # Rebuild the cell lists from the active points.
-        coords = np.floor(points / detector._side).astype(np.int64)
-        for index in np.flatnonzero(detector._active_mask):
-            cell = tuple(int(c) for c in coords[index])
-            detector._cells.setdefault(cell, []).append(int(index))
-        detector._dirty = {
-            tuple(int(c) for c in row) for row in dirty
-        }
+            state = {key: archive[key] for key in archive.files}
+        points = validate_points(state["points"])
+        eps, min_pts = float(state["eps"][0]), int(state["min_pts"][0])
+        detector = cls(eps, min_pts, max(len(points), 1))
+        masks = state["active_mask"], state["core_mask"], state["outlier_mask"]
+        detector._append(points, *masks)
+        detector._pending = [state["dirty"].astype(np.int64)]
+        detector.metrics.set("incremental.window_points", detector.n_active)
         return detector
 
-    # ------------------------------------------------------------------
-    # Detection
-    # ------------------------------------------------------------------
-
-    def _sync_memos(self) -> None:
-        if self._memo_version != self._mutation_version:
-            self._neighbor_memo.clear()
-            self._member_arrays.clear()
-            self._memo_version = self._mutation_version
-
-    def _neighbor_cells(self, cell: Cell) -> list[Cell]:
-        assert self._stencil is not None
-        self._sync_memos()
-        cached = self._neighbor_memo.get(cell)
-        if cached is None:
-            cached = [
-                candidate
-                for candidate in self._stencil.neighbors_of(cell)
-                if candidate in self._cells
-            ]
-            self._neighbor_memo[cell] = cached
-        return cached
-
-    def _members(self, cell: Cell) -> np.ndarray:
-        """The cell's member indices as a memoized int64 array."""
-        self._sync_memos()
-        cached = self._member_arrays.get(cell)
-        if cached is None:
-            cached = np.array(self._cells[cell], dtype=np.int64)
-            self._member_arrays[cell] = cached
-        return cached
-
-    def _neighborhood_of(self, cells: set[Cell]) -> set[Cell]:
-        """All non-empty cells whose neighborhood intersects ``cells``."""
-        out: set[Cell] = set()
-        for cell in cells:
-            out.update(self._neighbor_cells(cell))
-        return out
-
-    def _sq(self, targets: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        """Squared distances through the configured kernel tier.
-
-        The kernel is resolved once and cached: re-probing the
-        compiled tier on every dirty-cell recompute dominated churny
-        streaming workloads.
-        """
-        if self._resolved_kernel is None:
-            self._resolved_kernel = resolve_kernel(
-                self.kernel, self._kernel_counters
-            )
-        return self._resolved_kernel.sq_dists(targets, candidates)
-
-    def _recompute_core(self, cells: set[Cell]) -> set[Cell]:
-        """Re-evaluate core status inside ``cells``.
-
-        Returns:
-            The cells whose set of core points changed.
-        """
-        points = self._points_view()
-        eps_sq = self.eps * self.eps
-        changed: set[Cell] = set()
-        for cell in cells:
-            members = self._members(cell)
-            before = self._core_mask[members].copy()
-            own = len(members)
-            if own >= self.min_pts:
-                after = np.ones(own, dtype=bool)  # Lemma 1
-            else:
-                # Same-cell points count by Lemma 1 without a distance
-                # test (the operational predicate of
-                # ``repro.core.reference``); only cross-cell candidates
-                # go through the kernel.
-                cross_cells = [
-                    c for c in self._neighbor_cells(cell) if c != cell
-                ]
-                candidate_count = own + sum(
-                    len(self._cells[c]) for c in cross_cells
-                )
-                if candidate_count < self.min_pts:
-                    # own < min_pts here, so this also covers the
-                    # no-cross-cells case.
-                    after = np.zeros(own, dtype=bool)
-                else:
-                    candidates = np.concatenate(
-                        [self._members(c) for c in cross_cells]
-                    )
-                    sq = self._sq(points[members], points[candidates])
-                    after = (
-                        own + (sq <= eps_sq).sum(axis=1) >= self.min_pts
-                    )
-            if not np.array_equal(before, after):
-                changed.add(cell)
-            self._core_mask[members] = after
-        return changed
-
-    def _recompute_outliers(self, cells: set[Cell]) -> None:
-        """Re-evaluate outlier status inside ``cells``."""
-        points = self._points_view()
-        eps_sq = self.eps * self.eps
-        for cell in cells:
-            members = self._members(cell)
-            if self._core_mask[members].any():
-                # Lemma 2: a core cell has no outliers.
-                self._outlier_mask[members] = False
-                continue
-            core_candidates: list[np.ndarray] = []
-            for neighbor in self._neighbor_cells(cell):
-                neighbor_members = self._members(neighbor)
-                cores = neighbor_members[self._core_mask[neighbor_members]]
-                if cores.size:
-                    core_candidates.append(cores)
-            if not core_candidates:
-                self._outlier_mask[members] = True
-                continue
-            candidates = np.concatenate(core_candidates)
-            sq = self._sq(points[members], points[candidates])
-            covered = (sq <= eps_sq).any(axis=1)
-            self._outlier_mask[members] = ~covered
+    def _compact(self) -> None:
+        """Drop removed points; the rest are renumbered in insertion order."""
+        ids = np.flatnonzero(self._active[: self._n_points])
+        kept = self._buffer[ids], True, self._core[ids], self._outlier[ids]
+        self._buffer, self._capacity, self._n_points = np.empty((0, self._n_dims)), 1, 0
+        self._active = self._core = self._outlier = np.zeros(0, dtype=bool)
+        self._append(*kept)
 
     def detect(self) -> DetectionResult:
-        """Bring the result up to date and return it.
-
-        Only the regions affected by insertions since the last call are
-        recomputed; with no pending insertions this returns the cached
-        result.
-        """
-        if self._n_points == 0:
-            return DetectionResult(
-                n_points=0,
-                outlier_mask=np.zeros(0, dtype=bool),
-                core_mask=np.zeros(0, dtype=bool),
-            )
-        if self._resolved_kernel is None:
-            self._resolved_kernel = resolve_kernel(
-                self.kernel, self._kernel_counters
-            )
-        kernel = self._resolved_kernel
+        """Re-run both rounds over the pending dirty region; return labels."""
+        n = self._n_points
+        if n == 0:
+            empty = np.zeros(0, dtype=bool)
+            return DetectionResult(n_points=0, outlier_mask=empty, core_mask=empty)
+        dirty = self._dirty_cells()
         recorder = RunRecorder(
-            engine="incremental",
-            params={"eps": self.eps, "min_pts": self.min_pts},
-            context={
-                "engine": "incremental",
-                "n_cells": len(self._cells),
-                "dirty_cells": len(self._dirty),
-                "kernel": kernel.name,
-            },
+            engine="incremental", params={"eps": self.eps, "min_pts": self.min_pts},
+            context={"engine": "incremental", "dirty_cells": dirty.shape[0]},
         )
-        self.metrics.set("incremental.dirty_cells", len(self._dirty))
-        with recorder.activate():
-            if self._dirty:
-                with recorder.span("core_points"):
-                    core_region = self._neighborhood_of(self._dirty)
-                    changed_core_cells = self._recompute_core(core_region)
-                with recorder.span("outliers"):
-                    outlier_region = self._neighborhood_of(
-                        changed_core_cells | self._dirty
-                    )
-                    self._recompute_outliers(outlier_region)
-                recorder.add_context(
-                    core_cells_recomputed=len(core_region),
-                    outlier_cells_recomputed=len(outlier_region),
-                )
-                self.metrics.increment(
-                    "incremental.core_cells_recomputed", len(core_region)
-                )
-                self.metrics.increment(
-                    "incremental.outlier_cells_recomputed",
-                    len(outlier_region),
-                )
-                self._dirty.clear()
+        if self._resolved_kernel is None:  # a fallback is counted once
+            fallback: dict[str, int] = {}
+            self._resolved_kernel = resolve_kernel(self.kernel, fallback)
+            recorder.metrics.merge(fallback, namespace="engine")
+        recorder.add_context(kernel=self._resolved_kernel.name)
+        self.metrics.set("incremental.dirty_cells", dirty.shape[0])
+        if dirty.shape[0]:
+            self._redetect(recorder, dirty)
+            self._pending = []
         self.metrics.increment("incremental.detects")
-        if self._kernel_counters:
-            recorder.metrics.merge(self._kernel_counters, namespace="engine")
-            self._kernel_counters = {}
-        # The run record carries the engine's lifetime incremental.*
-        # totals (dotted names pass through merge unprefixed).
-        recorder.metrics.merge(self.metrics.snapshot())
-        record = recorder.finish(self._n_points, n_dims=self._n_dims)
+        recorder.metrics.merge(self.metrics.snapshot())  # not the rounds' counters
+        record = recorder.finish(n, n_dims=self._n_dims)
         return DetectionResult(
-            n_points=self._n_points,
-            outlier_mask=self._outlier_mask.copy(),
-            core_mask=self._core_mask.copy(),
-            timings=record.timing_breakdown(),
-            stats=record.flat_stats(),
-            record=record,
+            n_points=n, outlier_mask=self._outlier[:n].copy(),
+            core_mask=self._core[:n].copy(), timings=record.timing_breakdown(),
+            stats=record.flat_stats(), record=record,
         )
+
+    def _redetect(self, recorder: RunRecorder, dirty: np.ndarray) -> None:
+        """Both rounds over the dirty region, written back in place."""
+        ids = np.flatnonzero(self._active[: self._n_points])
+        with recorder.span("grid"):
+            grid = Grid(self._buffer[ids], self.eps)
+            index = CellIndex(grid.cells, self._offsets)
+        order, starts = grid.members_csr()
+        kernel = self._resolved_kernel
+        scratch = {"distance_computations": 0, "pruned_cells": 0}
+        core = self._core[ids]  # exact outside R1
+        with recorder.span("core_points"):
+            r1 = np.unique(index.probe(dirty, _REGION_PROBE_BUDGET)[1])  # N(D)
+            dense = grid.counts >= self.min_pts
+            work = r1[~dense[r1]]
+            fresh = VectorizedEngine._find_core_points(
+                grid.points, grid,
+                _CellAdjacency.region(index, work, _REGION_PROBE_BUDGET),
+                dense, self.eps, self.min_pts, scratch, kernel=kernel, work_cells=work,
+            )
+            members = order[_flat_ranges(starts[r1], grid.counts[r1])]
+            flipped = members[core[members] != fresh[members]]
+            core[members] = fresh[members]
+            self._core[ids[members]] = fresh[members]
+        with recorder.span("outliers"):
+            changed = np.unique(grid.point_cell[flipped])
+            rows = np.concatenate([grid.cells[changed], dirty])
+            r2 = np.unique(index.probe(rows, _REGION_PROBE_BUDGET)[1])  # N(C ∪ D)
+            cell_is_core = VectorizedEngine._core_cell_map(grid, dense, core)
+            work = r2[~cell_is_core[r2]]
+            outlier = VectorizedEngine._find_outliers(
+                grid.points, grid,
+                _CellAdjacency.region(index, work, _REGION_PROBE_BUDGET),
+                cell_is_core, core, self.eps, scratch, kernel=kernel, work_cells=work,
+            )
+            members = order[_flat_ranges(starts[r2], grid.counts[r2])]
+            self._outlier[ids[members]] = outlier[members]
+        recorder.add_context(n_cells=grid.n_cells, core_cells_recomputed=r1.size,
+                             outlier_cells_recomputed=r2.size)
+        self.metrics.increment("incremental.core_cells_recomputed", r1.size)
+        self.metrics.increment("incremental.outlier_cells_recomputed", r2.size)
 
     def __repr__(self) -> str:
-        return (
-            f"IncrementalDBSCOUT(eps={self.eps}, min_pts={self.min_pts}, "
-            f"n_points={self._n_points}, n_cells={len(self._cells)}, "
-            f"pending_dirty={len(self._dirty)})"
-        )
+        pending = self._dirty_cells().shape[0]
+        return (f"IncrementalDBSCOUT(eps={self.eps}, min_pts={self.min_pts}, "
+                f"n_points={self._n_points}, pending_dirty={pending})")

@@ -28,8 +28,8 @@ bit-for-bit:
 * :meth:`Kernel.segmented_pair_counts` — the engines' flat-batch hot
   loop (``VectorizedEngine``, the ``n_jobs`` pool workers, and
   ``CoreModel.classify`` all feed it);
-* :meth:`Kernel.sq_dists` — the dense target x candidate matrix used
-  by the incremental engine's dirty-region recomputation;
+* :meth:`Kernel.sq_dists` — the dense target x candidate matrix form
+  of the same contract;
 * :meth:`Kernel.sq_dist` — the scalar form used by the distributed
   engine's record-at-a-time SparkLite tasks.
 

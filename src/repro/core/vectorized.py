@@ -167,8 +167,6 @@ class _CellAdjacency:
         planner: str = "stencil",
         counters: dict[str, int] | None = None,
     ) -> None:
-        self._grid = grid
-        self._stencil = stencil
         self.planner = planner
         if planner == "tree":
             self._targets, self._starts = build_tree_adjacency(
@@ -184,6 +182,26 @@ class _CellAdjacency:
                     "planner.cell_pairs_examined",
                     grid.n_cells * stencil.k_d,
                 )
+
+    @classmethod
+    def region(
+        cls, index: CellIndex, rows: np.ndarray, budget: int
+    ) -> "_CellAdjacency":
+        """Adjacency over ``index.cells`` with rows only for ``rows``.
+
+        Every other cell's row is empty, so a round given this
+        adjacency must be restricted to ``rows`` (its ``work_cells``).
+        One :meth:`CellIndex.probe` of those cells, in blocks of at most
+        ``budget`` keys.
+        """
+        sources, targets = index.probe(index.cells[rows], budget)
+        owners = rows[sources]
+        counts = np.bincount(owners, minlength=index.n_cells)
+        adjacency = cls.__new__(cls)
+        adjacency.planner = "region"
+        adjacency._targets = targets[np.argsort(owners, kind="stable")]
+        adjacency._starts = np.concatenate(([0], np.cumsum(counts)))
+        return adjacency
 
     def neighbors(self, cell_index: int) -> np.ndarray:
         """Indices of non-empty neighbor cells of ``cell_index``."""
@@ -718,14 +736,23 @@ class VectorizedEngine:
         n_jobs: int = 1,
         kernel: Kernel | None = None,
         pair_budget: int | None = None,
+        work_cells: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Core-point identification (Algorithm 3, both branches)."""
+        """Core-point identification (Algorithm 3, both branches).
+
+        With ``work_cells``, only the members of those cells (and of
+        every dense cell) are decided; ``adjacency`` then needs rows
+        only for those cells.
+        """
         kernel = kernel if kernel is not None else resolve_kernel("numpy")
         pair_budget = normalize_pair_budget(pair_budget)
         eps_sq = eps * eps
         core_mask = np.zeros(grid.n_points, dtype=bool)
         core_mask[dense_cells[grid.point_cell]] = True  # Lemma 1 shortcut
-        work = np.flatnonzero(~dense_cells)
+        if work_cells is None:
+            work = np.flatnonzero(~dense_cells)
+        else:
+            work = work_cells[~dense_cells[work_cells]]
         if work.size == 0:
             return core_mask
         # Pruning (Sec. III-G2): a cell whose whole neighborhood cannot
@@ -781,13 +808,21 @@ class VectorizedEngine:
         n_jobs: int = 1,
         kernel: Kernel | None = None,
         pair_budget: int | None = None,
+        work_cells: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Outlier identification (Algorithm 5, both branches)."""
+        """Outlier identification (Algorithm 5, both branches).
+
+        With ``work_cells``, only the members of those cells are
+        decided; ``adjacency`` then needs rows only for those cells.
+        """
         kernel = kernel if kernel is not None else resolve_kernel("numpy")
         pair_budget = normalize_pair_budget(pair_budget)
         eps_sq = eps * eps
         outlier_mask = np.zeros(grid.n_points, dtype=bool)
-        work = np.flatnonzero(~cell_is_core)
+        if work_cells is None:
+            work = np.flatnonzero(~cell_is_core)
+        else:
+            work = work_cells[~cell_is_core[work_cells]]
         if work.size == 0:
             return outlier_mask
         # Candidates are core points of neighboring core cells; a work
