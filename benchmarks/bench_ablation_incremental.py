@@ -1,14 +1,15 @@
 """Ablation A3 — incremental maintenance vs recompute-from-scratch.
 
 Extension beyond the paper: ``IncrementalDBSCOUT`` keeps the exact
-result up to date across insertions by re-evaluating only the affected
-neighborhoods.  The scenario is the natural one for GPS collections: a
-large historical base, then a trickle of *spatially localized* update
-batches (new fixes keep arriving around active areas).  Recomputing
-batch DBSCOUT after every update pays the full-map cost each time;
-incremental maintenance pays only for the touched neighborhoods.
-(When a batch scatters uniformly over the whole map the advantage
-disappears — the affected region IS the map; the bench reports both.)
+result up to date across insertions by re-running the batch engine's
+rounds over the dirty cells' two-ring only.  The scenario is the
+natural one for GPS collections: a large historical base, then a
+trickle of *spatially localized* update batches (new fixes keep
+arriving around active areas).  Recomputing batch DBSCOUT after every
+update pays the full-map cost each time; incremental maintenance pays
+one grid rebuild of the window plus the touched two-ring.  (When a
+batch scatters uniformly over the whole map the advantage shrinks —
+the two-ring is most of the map.)
 """
 
 from __future__ import annotations

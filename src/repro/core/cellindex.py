@@ -2,9 +2,10 @@
 
 The stencil question "which cells of this set are neighbors
 (Definition 8) of that cell?" — asked by the fit's cell adjacency
-(``build_cell_adjacency``) and by out-of-sample classification
-(``CoreModel.classify``) — is answered by one structure, built once per
-cell set and probed many times:
+(``build_cell_adjacency``), by out-of-sample classification
+(``CoreModel.classify``) and by the incremental engine's dirty-region
+probes — is answered by one structure, built once per cell set and
+probed many times:
 
 * each cell's integer coordinates are packed into one int64 key, with
   a bit field per dimension sized to the set's bounding box widened by
@@ -20,12 +21,14 @@ and is dropped before packing, so probe keys never leave the fields'
 range and a far-away query costs nothing.  Inside the box, two cells
 that differ by ``v`` have equal keys only if ``v = 0``: every
 component of ``v`` is smaller in magnitude than its field, which the
-box guarantees.  When the widened box needs more than 62 bits the index
-keeps a coordinate-tuple dictionary instead, built once with the
-index.
+box guarantees.  When the widened box needs more than 62 bits, a key is
+instead the cell's raw coordinate bytes (one fixed-width byte string
+per cell): probes shift the coordinates by each offset and search
+those keys the same way, with no per-cell Python loop.
 
 Memory: 16 bytes per cell (the sorted keys and their order) on top of
-the cell coordinates the caller already holds.
+the cell coordinates the caller already holds; ``8 d + 8`` bytes per
+cell for byte-string keys.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ class CellIndex:
         lo: ``(d,)`` lower corner of the box widened by the reach.
         hi: ``(d,)`` upper corner of the box widened by the reach.
         packed: ``True`` when the keys fit in 62 bits; ``False`` means
-            probes use the coordinate dictionary.
+            keys are the cells' raw coordinate bytes.
     """
 
     def __init__(self, cells: np.ndarray, offsets: np.ndarray) -> None:
@@ -68,20 +71,17 @@ class CellIndex:
             self.hi = np.full(n_dims, -1, dtype=np.int64)
         bits = [int(span).bit_length() for span in self.hi - self.lo + 1]
         self.packed = sum(bits) <= _MAX_KEY_BITS
-        if not self.packed:
-            self._lookup = {
-                cell: i
-                for i, cell in enumerate(map(tuple, self.cells.tolist()))
-            }
-            return
-        # Field of dimension j starts at the summed widths of the
-        # dimensions after it: key = sum_j (x_j - lo_j) << shift_j.
-        shifts = np.cumsum([0] + bits[:0:-1])[::-1]
-        self._weights = np.left_shift(1, shifts).astype(np.int64)
+        if self.packed:
+            # Field of dimension j starts at the summed widths of the
+            # dimensions after it: key = sum_j (x_j - lo_j) << shift_j.
+            shifts = np.cumsum([0] + bits[:0:-1])[::-1]
+            self._weights = np.left_shift(1, shifts).astype(np.int64)
+            self._deltas = self.offsets @ self._weights
+        else:
+            self._row_bytes = np.dtype((np.void, 8 * n_dims))
         keys = self._pack(self.cells)
         self._order = np.argsort(keys, kind="stable")
         self._sorted_keys = keys[self._order]
-        self._deltas = self.offsets @ self._weights
 
     @property
     def n_cells(self) -> int:
@@ -89,8 +89,20 @@ class CellIndex:
         return int(self.cells.shape[0])
 
     def _pack(self, rows: np.ndarray) -> np.ndarray:
-        """Keys of in-box rows (the packed form only)."""
-        return (rows - self.lo) @ self._weights
+        """Keys of in-box rows: packed int64s, or raw coordinate bytes."""
+        if self.packed:
+            return (rows - self.lo) @ self._weights
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        return rows.view(self._row_bytes).ravel()
+
+    def _shifted(
+        self, rows: np.ndarray, keys: np.ndarray, offsets: slice
+    ) -> np.ndarray:
+        """Keys of every row shifted by each of ``offsets``, offset-major."""
+        if self.packed:
+            return (keys[None, :] + self._deltas[offsets, None]).ravel()
+        shifted = rows[None, :, :] + self.offsets[offsets, None, :]
+        return self._pack(shifted.reshape(-1, rows.shape[1]))
 
     def _inside(self, rows: np.ndarray) -> np.ndarray:
         """Indices of the rows inside the widened box."""
@@ -110,12 +122,6 @@ class CellIndex:
         found = np.full(rows.shape[0], -1, dtype=np.int64)
         ids = self._inside(rows)
         if ids.shape[0] == 0:
-            return found
-        if not self.packed:
-            found[ids] = [
-                self._lookup.get(cell, -1)
-                for cell in map(tuple, rows[ids].tolist())
-            ]
             return found
         keys = self._pack(rows[ids])
         positions = np.searchsorted(self._sorted_keys, keys)
@@ -153,16 +159,14 @@ class CellIndex:
         n_rows = rows.shape[0]
         if n_rows == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        if not self.packed:
-            return self._probe_lookup(rows)
         keys = self._pack(rows)
         all_sources: list[np.ndarray] = []
         all_hits: list[np.ndarray] = []
         block = max(1, budget // n_rows)
-        for start in range(0, self._deltas.shape[0], block):
-            candidate_keys = (
-                keys[None, :] + self._deltas[start : start + block, None]
-            ).ravel()
+        for start in range(0, self.offsets.shape[0], block):
+            candidate_keys = self._shifted(
+                rows, keys, slice(start, start + block)
+            )
             positions = np.searchsorted(self._sorted_keys, candidate_keys)
             np.minimum(positions, self.n_cells - 1, out=positions)
             hit = np.flatnonzero(
@@ -171,23 +175,3 @@ class CellIndex:
             all_sources.append(hit % n_rows)
             all_hits.append(self._order[positions[hit]])
         return np.concatenate(all_sources), np.concatenate(all_hits)
-
-    def _probe_lookup(
-        self, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The dictionary form of :meth:`probe` for > 62-bit boxes."""
-        sources: list[int] = []
-        hits: list[int] = []
-        cells = list(map(tuple, rows.tolist()))
-        for offset in map(tuple, self.offsets.tolist()):
-            for source, cell in enumerate(cells):
-                hit = self._lookup.get(
-                    tuple(c + o for c, o in zip(cell, offset))
-                )
-                if hit is not None:
-                    sources.append(source)
-                    hits.append(hit)
-        return (
-            np.array(sources, dtype=np.int64),
-            np.array(hits, dtype=np.int64),
-        )

@@ -212,6 +212,7 @@ class TestTelemetry:
 coords = st.integers(min_value=-200, max_value=200).map(lambda k: k / 8.0)
 
 
+@pytest.mark.parametrize("kernel", ["numpy", "c"])
 @settings(max_examples=40, deadline=None)
 @given(
     points=st.integers(min_value=1, max_value=40).flatmap(
@@ -221,10 +222,10 @@ coords = st.integers(min_value=-200, max_value=200).map(lambda k: k / 8.0)
     eps_k=st.integers(min_value=1, max_value=80),
     min_pts=st.integers(min_value=1, max_value=6),
 )
-def test_any_split_matches_batch(points, splits, eps_k, min_pts):
+def test_any_split_matches_batch(kernel, points, splits, eps_k, min_pts):
     eps = eps_k / 8.0
     boundaries = sorted(s % (points.shape[0] + 1) for s in splits)
-    detector = IncrementalDBSCOUT(eps, min_pts)
+    detector = IncrementalDBSCOUT(eps, min_pts, kernel=kernel)
     previous = 0
     for boundary in boundaries + [points.shape[0]]:
         if boundary > previous:
@@ -233,6 +234,6 @@ def test_any_split_matches_batch(points, splits, eps_k, min_pts):
     if previous < points.shape[0]:
         detector.insert(points[previous:])
     result = detector.detect()
-    expected = batch_detect(points, eps, min_pts)
+    expected = batch_detect(points, eps, min_pts, kernel=kernel)
     assert np.array_equal(result.core_mask, expected.core_mask)
     assert np.array_equal(result.outlier_mask, expected.outlier_mask)

@@ -105,6 +105,7 @@ class TestRandomisedSequences:
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
+    @pytest.mark.parametrize("kernel", ["numpy", "c"])
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -113,13 +114,13 @@ class TestRandomisedSequences:
         min_pts=st.integers(min_value=1, max_value=5),
     )
     def test_interleaved_ops_match_batch(
-        self, seed, n_operations, eps_k, min_pts
+        self, kernel, seed, n_operations, eps_k, min_pts
     ):
         import numpy as np
 
         eps = eps_k / 8.0
         rng = np.random.default_rng(seed)
-        detector = IncrementalDBSCOUT(eps, min_pts)
+        detector = IncrementalDBSCOUT(eps, min_pts, kernel=kernel)
         points = np.zeros((0, 2))
         active = np.zeros(0, dtype=bool)
         for _ in range(n_operations):
@@ -144,7 +145,7 @@ class TestRandomisedSequences:
             if rng.random() < 0.5:
                 detector.detect()  # interleave detections
         result = detector.detect()
-        expected = batch_detect(points[active], eps, min_pts)
+        expected = batch_detect(points[active], eps, min_pts, kernel=kernel)
         assert np.array_equal(result.core_mask[active], expected.core_mask)
         assert np.array_equal(
             result.outlier_mask[active], expected.outlier_mask
