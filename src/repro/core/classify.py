@@ -345,13 +345,11 @@ class CoreModel:
         settled = self._index.find(qgrid.cells) >= 0
         counters["cells_settled_core"] += int(settled.sum())
         work = np.flatnonzero(~settled)
+        # Candidate core cells per unsettled query cell, grouped by cell
+        # in stencil-offset order; sources index ``work``.
         sources, hits = self._index.probe(
             qgrid.cells[work], _ADJACENCY_PROBE_BUDGET
         )
-        # Candidate core cells per unsettled query cell, CSR-grouped in
-        # stencil-offset order; sources index ``work``.
-        order_pairs = np.argsort(sources, kind="stable")
-        sources, hits = sources[order_pairs], hits[order_pairs]
         starts = self.core_starts
         per_hit = starts[hits + 1] - starts[hits]
         pair_lens = np.bincount(sources, minlength=work.shape[0])

@@ -29,7 +29,8 @@ from repro.types import DetectionResult
 
 __all__ = ["IncrementalDBSCOUT"]
 
-#: Keys per ``CellIndex.probe`` block: a detect's four probes stay small.
+#: ``CellIndex.probe`` budget: blocks of ``budget // k_d`` query cells
+#: keep a detect's four probes small.
 _REGION_PROBE_BUDGET = 250_000
 
 

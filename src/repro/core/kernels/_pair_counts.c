@@ -75,35 +75,6 @@ int64_t repro_segmented_pair_counts(
     return total_pairs;
 }
 
-/* Dense (n_targets, n_cands) matrix of squared distances, row-major,
- * same accumulation order per pair.  The incremental engine's
- * dirty-region recomputation consumes this. */
-void repro_sq_dists(
-    const double *targets,
-    int64_t n_targets,
-    const double *cands,
-    int64_t n_cands,
-    int64_t n_dims,
-    double *out)
-{
-    int64_t i;
-    for (i = 0; i < n_targets; i++) {
-        const double *p = targets + i * n_dims;
-        double *row = out + i * n_cands;
-        int64_t j;
-        for (j = 0; j < n_cands; j++) {
-            const double *q = cands + j * n_dims;
-            double acc = 0.0;
-            int64_t dim;
-            for (dim = 0; dim < n_dims; dim++) {
-                const double delta = p[dim] - q[dim];
-                acc += delta * delta;
-            }
-            row[j] = acc;
-        }
-    }
-}
-
 /* Scalar squared distance; the distributed engine's record-at-a-time
  * SparkLite tasks call this through Kernel.sq_dist. */
 double repro_sq_dist(const double *p, const double *q, int64_t n_dims)

@@ -23,13 +23,11 @@ bit-for-bit:
 * per-member counts are exact integers, so any batching of the cell
   segments reproduces the same result.
 
-:class:`Kernel` captures that contract behind three entry points:
+:class:`Kernel` captures that contract behind two entry points:
 
 * :meth:`Kernel.segmented_pair_counts` — the engines' flat-batch hot
   loop (``VectorizedEngine``, the ``n_jobs`` pool workers, and
   ``CoreModel.classify`` all feed it);
-* :meth:`Kernel.sq_dists` — the dense target x candidate matrix form
-  of the same contract;
 * :meth:`Kernel.sq_dist` — the scalar form used by the distributed
   engine's record-at-a-time SparkLite tasks.
 
@@ -127,12 +125,6 @@ class Kernel(ABC):
         Returns:
             int64 counts aligned with ``members_flat``.
         """
-
-    @abstractmethod
-    def sq_dists(
-        self, targets: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        """Dense ``(t, c)`` matrix of ordered-accumulation squared distances."""
 
     def sq_dist(
         self, p: tuple[float, ...], q: tuple[float, ...]

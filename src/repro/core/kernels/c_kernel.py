@@ -170,15 +170,6 @@ def _load(path: pathlib.Path) -> ctypes.CDLL:
             ctypes.c_double,  # eps_sq
             _C_INT64_P,  # counts_out
         ]
-        lib.repro_sq_dists.restype = None
-        lib.repro_sq_dists.argtypes = [
-            _C_DOUBLE_P,
-            ctypes.c_int64,
-            _C_DOUBLE_P,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            _C_DOUBLE_P,
-        ]
         lib.repro_sq_dist.restype = ctypes.c_double
         lib.repro_sq_dist.argtypes = [
             _C_DOUBLE_P,
@@ -257,25 +248,6 @@ class CKernel(Kernel):
             "distance_computations", 0
         ) + int(total_pairs)
         return counts_out
-
-    def sq_dists(
-        self, targets: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        targets = _as_f64(targets)
-        candidates = _as_f64(candidates)
-        out = np.empty(
-            (targets.shape[0], candidates.shape[0]), dtype=np.float64
-        )
-        if out.size:
-            self._lib.repro_sq_dists(
-                _f64_ptr(targets),
-                targets.shape[0],
-                _f64_ptr(candidates),
-                candidates.shape[0],
-                targets.shape[1],
-                _f64_ptr(out),
-            )
-        return out
 
     def sq_dist(
         self, p: tuple[float, ...], q: tuple[float, ...]

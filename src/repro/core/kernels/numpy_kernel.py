@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.kernels.base import DEFAULT_PAIR_BUDGET, Kernel
 
-__all__ = ["NumpyKernel", "segmented_pair_counts", "sq_dists"]
+__all__ = ["NumpyKernel", "segmented_pair_counts"]
 
 
 def segmented_pair_counts(
@@ -99,20 +99,6 @@ def segmented_pair_counts(
     return counts_out
 
 
-def sq_dists(targets: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Dense squared distances accumulated per dimension, in order.
-
-    Reductions with a different association (``einsum``, BLAS dot) can
-    round one ulp away and flip an exactly-at-eps comparison; this
-    form performs the contract's exact operation sequence per pair.
-    """
-    sq = np.zeros((targets.shape[0], candidates.shape[0]), dtype=np.float64)
-    for dim in range(targets.shape[1]):
-        delta = targets[:, dim, None] - candidates[None, :, dim]
-        sq += delta * delta
-    return sq
-
-
 class NumpyKernel(Kernel):
     """The always-available reference implementation of the contract."""
 
@@ -133,8 +119,3 @@ class NumpyKernel(Kernel):
             array, members_flat, m_sizes, cands_flat, c_sizes, eps_sq,
             counters, pair_budget=pair_budget,
         )
-
-    def sq_dists(
-        self, targets: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        return sq_dists(targets, candidates)

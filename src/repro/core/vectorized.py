@@ -43,17 +43,18 @@ Two further performance layers sit on top of the exact pipeline (see
   when no compiler is available.  Both implement the identical float
   contract, so labels are bit-identical either way.
 * **Grid-tree cell planner.**  ``cell_planner="tree"`` (the ``"auto"``
-  choice at d >= 4) builds the neighbor-cell adjacency by searching a
+  choice at d >= 5) builds the neighbor-cell adjacency by searching a
   k-d-style tree over the non-empty cells (``repro.core.celltree``)
-  instead of enumerating the ``k_d`` offset stencil per cell; same
-  adjacency set, so labels are again bit-identical.
+  instead of range-probing the cell index once per last-axis run of
+  the offset stencil per cell; same adjacency set, so labels are again
+  bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.cellindex import CellIndex
+from repro.core.cellindex import CellIndex, _flat_ranges
 from repro.core.celltree import build_tree_adjacency
 from repro.core.grid import Grid, validate_points
 from repro.core.kernels import (
@@ -83,9 +84,11 @@ __all__ = [
 CELL_PLANNER_NAMES = ("auto", "stencil", "tree")
 
 #: ``cell_planner="auto"`` switches to the grid-tree at this
-#: dimensionality: the stencil's k_d passes 1000 at d = 4 while real
-#: grids stay sparse, so enumeration starts losing to search there.
-TREE_PLANNER_MIN_DIMS = 4
+#: dimensionality.  Range probes cost one pair of searches per
+#: last-axis run of the stencil: 179 runs per cell at d = 4 still beat
+#: the tree search (~2-2.5x on the A5 and mixture inputs), while the
+#: 1,273 runs at d = 5 lose to it (EXPERIMENTS.md, A5).
+TREE_PLANNER_MIN_DIMS = 5
 
 #: Below this many member/candidate pairs the process-pool dispatch
 #: overhead exceeds the arithmetic; the engine stays serial even when
@@ -93,10 +96,10 @@ TREE_PLANNER_MIN_DIMS = 4
 #: inputs.
 MIN_PAIRS_FOR_POOL = 200_000
 
-#: Stencil probes (adjacency and ``CoreModel.classify``) search at most
-#: this many (cell, offset) keys per searchsorted batch, bounding the
-#: peak int64 scratch at ~3 arrays of this length regardless of grid or
-#: batch size.
+#: Stencil probes (adjacency and ``CoreModel.classify``) run in blocks
+#: of ``budget // k_d`` query cells, so a block's run keys, positions
+#: and expanded hit ranges each stay within this many int64 entries
+#: regardless of grid or batch size.
 _ADJACENCY_PROBE_BUDGET = 4_000_000
 
 
@@ -115,17 +118,17 @@ def build_cell_adjacency(
         ``targets[starts[i]:starts[i + 1]]``, as indices into ``cells``,
         in stencil-offset order.
 
-    A probe of a :class:`~repro.core.cellindex.CellIndex` of the cells
-    themselves, in blocks of at most ``_ADJACENCY_PROBE_BUDGET`` keys.
+    A range probe of a :class:`~repro.core.cellindex.CellIndex` of the
+    cells themselves with budget ``_ADJACENCY_PROBE_BUDGET``; the probe
+    already emits the pairs cell by cell in stencil-offset order.
     """
     n_cells = cells.shape[0]
     if n_cells == 0:
         return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
     index = CellIndex(cells, stencil.offsets)
     sources, targets = index.probe(index.cells, _ADJACENCY_PROBE_BUDGET)
-    order = np.argsort(sources, kind="stable")
     counts = np.bincount(sources, minlength=n_cells)
-    return targets[order], np.concatenate(([0], np.cumsum(counts)))
+    return targets, np.concatenate(([0], np.cumsum(counts)))
 
 
 def normalize_cell_planner(cell_planner: str | None) -> str:
@@ -153,11 +156,12 @@ class _CellAdjacency:
 
     For every cell index ``i`` the structure can report the indices of
     the non-empty cells that are neighbors of ``i`` (``i`` included).
-    Built once per detection — in O(m * k_d) stencil lookups, or by
-    grid-tree search (``planner="tree"``) when the stencil's ``k_d``
-    would dwarf the number of non-empty cells ``m``.  Both planners
-    produce the same adjacency *set* (tree row order differs), so
-    every downstream label is identical.
+    Built once per detection — by range-probing the cell index once per
+    (cell, last-axis run of the stencil), or by grid-tree search
+    (``planner="tree"``) when the stencil's ``k_d`` would dwarf the
+    number of non-empty cells ``m``.  Both planners produce the same
+    adjacency *set* (tree row order differs), so every downstream
+    label is identical.
     """
 
     def __init__(
@@ -191,15 +195,21 @@ class _CellAdjacency:
 
         Every other cell's row is empty, so a round given this
         adjacency must be restricted to ``rows`` (its ``work_cells``).
-        One :meth:`CellIndex.probe` of those cells, in blocks of at most
-        ``budget`` keys.
+        One :meth:`CellIndex.probe` of those cells with the given
+        ``budget``; ``rows`` must be strictly ascending (``np.unique``
+        output), so the probe's row-by-row pairs are already grouped by
+        cell.
+
+        Raises:
+            ValueError: If ``rows`` is not strictly ascending.
         """
+        if (np.diff(rows) <= 0).any():
+            raise ValueError("region rows must be strictly ascending")
         sources, targets = index.probe(index.cells[rows], budget)
-        owners = rows[sources]
-        counts = np.bincount(owners, minlength=index.n_cells)
+        counts = np.bincount(rows[sources], minlength=index.n_cells)
         adjacency = cls.__new__(cls)
         adjacency.planner = "region"
-        adjacency._targets = targets[np.argsort(owners, kind="stable")]
+        adjacency._targets = targets
         adjacency._starts = np.concatenate(([0], np.cumsum(counts)))
         return adjacency
 
@@ -208,16 +218,6 @@ class _CellAdjacency:
         return self._targets[
             self._starts[cell_index] : self._starts[cell_index + 1]
         ]
-
-
-def _flat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(s_i, s_i + l_i)`` for all i, vectorized."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    run_starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    pos = np.arange(total, dtype=np.int64) - np.repeat(run_starts, lengths)
-    return np.repeat(starts, lengths) + pos
 
 
 def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -599,7 +599,7 @@ class VectorizedEngine:
             kernel's temporary arrays.  Results are identical for
             every value.
         cell_planner: Neighbor-cell adjacency builder: ``"auto"``
-            (default; grid-tree search at d >= 4, stencil enumeration
+            (default; grid-tree search at d >= 5, stencil enumeration
             below), ``"stencil"``, or ``"tree"``.  Identical labels
             either way.
     """
@@ -669,11 +669,13 @@ class VectorizedEngine:
                 stencil = NeighborStencil(grid.n_dims)
 
             with recorder.span("dense_cell_map"):
-                adjacency = _CellAdjacency(
-                    grid, stencil, planner=planner, counters=counters
-                )
+                with recorder.span("adjacency"):
+                    adjacency = _CellAdjacency(
+                        grid, stencil, planner=planner, counters=counters
+                    )
                 dense_cells = grid.counts >= min_pts
-                bounds = _cell_bounds(grid) if self.pruning else None
+                with recorder.span("bounds"):
+                    bounds = _cell_bounds(grid) if self.pruning else None
 
             with recorder.span("core_points"):
                 core_mask = self._find_core_points(
@@ -790,8 +792,7 @@ class VectorizedEngine:
     ) -> np.ndarray:
         """Per-cell flag: the cell is dense or contains a core point."""
         cell_is_core = dense_cells.copy()
-        core_cells_with_points = np.unique(grid.point_cell[core_mask])
-        cell_is_core[core_cells_with_points] = True
+        cell_is_core[grid.point_cell[core_mask]] = True
         return cell_is_core
 
     @staticmethod

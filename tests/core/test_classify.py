@@ -230,13 +230,13 @@ def test_far_query_point_is_filtered_not_packed(rng, monkeypatch, kernel):
     near, batch = _far_batch(rng, points, [[3e12, -3e12, 1e9]])
     assert model._index.packed
 
-    shifted = CellIndex._shifted
+    pack = CellIndex._pack
 
     def packed_only(index, *args):
         assert index.packed, "classify probed with wide (unpacked) keys"
-        return shifted(index, *args)
+        return pack(index, *args)
 
-    monkeypatch.setattr(CellIndex, "_shifted", packed_only)
+    monkeypatch.setattr(CellIndex, "_pack", packed_only)
     near_counters: dict[str, int] = {}
     batch_counters: dict[str, int] = {}
     near_labels = model.classify(near, counters=near_counters, kernel=kernel)

@@ -125,15 +125,6 @@ class TestCKernelParity:
             counts, _ = _run(kernel, *args, 0.8, pair_budget=pair_budget)
             np.testing.assert_array_equal(baseline, counts)
 
-    def test_sq_dists_match(self):
-        rng = np.random.default_rng(4)
-        targets = rng.normal(size=(7, 4))
-        cands = rng.normal(size=(11, 4))
-        np.testing.assert_array_equal(
-            NumpyKernel().sq_dists(targets, cands),
-            get_c_kernel().sq_dists(targets, cands),
-        )
-
     def test_sq_dist_matches_python(self):
         p, q = (0.1, 0.2, 0.3), (1.7, -0.4, 2.25)
         assert get_c_kernel().sq_dist(p, q) == NumpyKernel().sq_dist(p, q)

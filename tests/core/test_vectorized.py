@@ -155,6 +155,15 @@ class TestResultMetadata:
         }
         assert result.timings.total > 0
 
+    def test_adjacency_and_bounds_nest_in_dense_cell_map(self, clustered_2d):
+        spans = detect(clustered_2d, 0.8, 10).record.spans
+        (parent,) = [s for s in spans if s["name"] == "dense_cell_map"]
+        for name in ("adjacency", "bounds"):
+            (child,) = [s for s in spans if s["name"] == name]
+            assert child["parent_id"] == parent["span_id"]
+            assert child["depth"] == parent["depth"] + 1 == 1
+            assert child["duration_s"] <= parent["duration_s"]
+
     def test_stats_present(self, clustered_2d):
         result = detect(clustered_2d, 0.8, 10)
         assert result.stats["engine"] == "vectorized"
