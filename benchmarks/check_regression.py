@@ -30,7 +30,7 @@ the exit code is the number of flagged entries (0 = pass), which makes
 the script directly usable as a CI gate.
 
 Counters are deterministic (distance computations, shuffle volumes,
-pruning totals), so the counter threshold can be tight; wall-clock
+box-test totals), so the counter threshold can be tight; wall-clock
 thresholds should leave headroom for machine noise.
 """
 
@@ -93,7 +93,6 @@ def run_signature(record: RunRecord) -> str:
         "n_jobs",
         "join_strategy",
         "num_partitions",
-        "pruning",
         "kernel",
         "cell_planner",
         "pair_budget",

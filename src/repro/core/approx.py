@@ -321,8 +321,9 @@ class ApproxEngine:
             and report precision/recall/F1 vs the exact engine into
             the run record (on by default; the audit cost scales with
             the number of flagged points, not the dataset).
-        n_jobs / pruning / kernel / pair_budget / cell_planner: The
-            vectorized engine's options, identical semantics.
+        n_jobs / kernel / pair_budget / cell_planner: The vectorized
+            engine's options, identical semantics.  Every round of this
+            engine box-tests its cell pairs.
     """
 
     name = "approx"
@@ -338,7 +339,6 @@ class ApproxEngine:
         rp_margin: float = 1.0,
         audit: bool = True,
         n_jobs: int | None = 1,
-        pruning: bool = True,
         kernel: str | Kernel | None = "auto",
         pair_budget: int | None = None,
         cell_planner: str | None = "auto",
@@ -388,7 +388,6 @@ class ApproxEngine:
         self.rp_margin = float(rp_margin)
         self.audit = bool(audit)
         self.n_jobs = normalize_n_jobs(n_jobs)
-        self.pruning = bool(pruning)
         self.kernel = normalize_kernel(kernel)
         self.pair_budget = normalize_pair_budget(pair_budget)
         self.cell_planner = normalize_cell_planner(cell_planner)
@@ -441,7 +440,6 @@ class ApproxEngine:
             context={
                 "engine": self.name,
                 "n_jobs": self.n_jobs,
-                "pruning": self.pruning,
                 "kernel": kernel.name,
                 "pair_budget": self.pair_budget,
                 "cell_planner": planner,
@@ -463,7 +461,7 @@ class ApproxEngine:
                     grid, stencil, planner=planner, counters=counters
                 )
                 dense_cells = grid.counts >= min_pts
-                bounds = _cell_bounds(grid) if self.pruning else None
+                bounds = _cell_bounds(grid)
 
             with recorder.span("sample"):
                 rng = np.random.default_rng(self.seed)

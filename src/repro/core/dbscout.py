@@ -80,12 +80,15 @@ class DBSCOUT:
             the distance kernel; ``1`` = serial, ``-1`` = all cores),
             ``kernel`` (``"auto"``/``"numpy"``/``"c"`` distance-kernel
             tier), ``pair_budget`` (kernel batch size in point pairs),
-            ``cell_planner`` (``"auto"``/``"stencil"``/``"tree"``
-            neighbor-cell adjacency builder), and ``pruning``
-            (cell-geometry pruning toggle) — results are bit-identical
-            for every combination.  The distributed engine accepts
-            ``num_partitions``, ``max_workers``, ``join_strategy``,
-            ``context``, ``kernel``, ``executor`` (``"local"`` or
+            and ``cell_planner`` (``"auto"``/``"stencil"``/``"tree"``
+            neighbor-cell adjacency builder) — results are bit-identical
+            for every combination.  Whether a fit's rounds box-test
+            their cell pairs is not an option: each round decides from
+            its own pair density (see
+            :class:`~repro.core.vectorized.VectorizedEngine`).  The
+            distributed engine accepts ``num_partitions``,
+            ``max_workers``, ``join_strategy``, ``context``,
+            ``kernel``, ``executor`` (``"local"`` or
             ``"net"`` — drive registered remote workers over TCP), and
             ``partitioner`` (``"rows"`` or ``"cells"`` — spatially
             aware grid sharding); labels are bit-identical for every
@@ -133,7 +136,6 @@ class DBSCOUT:
             kernel = engine_options.pop("kernel", "auto")
             pair_budget = engine_options.pop("pair_budget", None)
             cell_planner = engine_options.pop("cell_planner", "auto")
-            pruning = engine_options.pop("pruning", True)
             approx_options = {}
             if self.quality != "exact":
                 approx_options = {
@@ -147,8 +149,8 @@ class DBSCOUT:
             if engine_options:
                 raise ParameterError(
                     "the vectorized engine accepts only the n_jobs, "
-                    "kernel, pair_budget, cell_planner, and pruning "
-                    "options (plus sample_method, rp_prefilter, "
+                    "kernel, pair_budget, and cell_planner options "
+                    "(plus sample_method, rp_prefilter, "
                     "n_projections, rp_margin, and audit with an "
                     "approximate quality preset); got "
                     + ", ".join(sorted(engine_options))
@@ -160,7 +162,6 @@ class DBSCOUT:
                     VectorizedEngine | ApproxEngine | DistributedEngine
                 ) = VectorizedEngine(
                     n_jobs=n_jobs,
-                    pruning=pruning,
                     kernel=kernel,
                     pair_budget=pair_budget,
                     cell_planner=cell_planner,
@@ -171,7 +172,6 @@ class DBSCOUT:
                     sample_fraction=self.sample_fraction,
                     seed=self.seed,
                     n_jobs=n_jobs,
-                    pruning=pruning,
                     kernel=kernel,
                     pair_budget=pair_budget,
                     cell_planner=cell_planner,

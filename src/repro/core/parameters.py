@@ -11,7 +11,6 @@ maximum-curvature ("kneedle"-style) rule.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.core.grid import validate_points
 from repro.exceptions import ParameterError
@@ -44,6 +43,10 @@ def k_distance_graph(points: np.ndarray, k: int) -> np.ndarray:
             f"need more than k={k} points to compute k-distances, "
             f"got {n_points}"
         )
+    # Imported here: scipy.spatial costs ~0.3 s to import, and nothing
+    # else behind ``import repro`` needs it.
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(array)
     # Query k+1 because the nearest neighbor of a point is itself.
     distances, _ = tree.query(array, k=k + 1)

@@ -20,18 +20,23 @@ when the combined population of its neighboring cells reaches
 Two further performance layers sit on top of the exact pipeline (see
 ``docs/architecture.md``, "Performance layers"):
 
-* **Cell-geometry pruning.**  Each (work cell, neighbor cell) pair is
-  classified by the min/max distance between the bounding boxes of the
-  cells' actual points — the data-dependent refinement of the
-  ``min_cell_gap_squared`` / ``max_cell_gap_squared`` offset geometry.
-  *Fully-covered* pairs (max bound ``<= eps``) contribute the whole
-  candidate population to every member with zero distance
-  computations; in the outlier round one core candidate in a covered
-  cell settles the entire work cell.  *Fully-excluded* pairs (min
-  bound ``> eps``) are dropped outright.  Only boundary pairs reach
-  the distance kernel.  The bounds are accumulated with the same
-  float operation order as the distance kernel, so the pruning is
-  provably exact — results stay bit-identical to the unpruned path.
+* **Box tests, decided per round.**  A round may classify each
+  (work cell, neighbor cell) pair by the min/max distance between the
+  bounding boxes of the cells' actual points — the data-dependent
+  refinement of the ``min_cell_gap_squared`` / ``max_cell_gap_squared``
+  offset geometry.  *Fully-covered* pairs (max bound ``<= eps``)
+  contribute the whole candidate population to every member with zero
+  distance computations; in the outlier round one core candidate in a
+  covered cell settles the entire work cell.  *Fully-excluded* pairs
+  (min bound ``> eps``) are dropped outright.  Only boundary pairs
+  reach the distance kernel.  The bounds are accumulated with the same
+  float operation order as the distance kernel, so the tests are
+  provably exact — results stay bit-identical to the untested path.
+  A box test costs a few gathers per cell pair and saves one distance
+  per point pair, so each round box-tests iff its non-self cell pairs
+  hide at least ``BOX_TEST_MIN_PAIR_DENSITY[kernel]`` point pairs each
+  on average, and the cell bounds are built at most once per fit, by
+  the first round that box-tests.
 * **Multi-core sharding.**  With ``n_jobs > 1`` the per-cell segments
   of the distance kernel are split into weight-balanced contiguous
   shards and counted by a process pool over shared-memory views of
@@ -51,6 +56,8 @@ Two further performance layers sit on top of the exact pipeline (see
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -89,6 +96,14 @@ CELL_PLANNER_NAMES = ("auto", "stencil", "tree")
 #: the tree search (~2-2.5x on the A5 and mixture inputs), while the
 #: 1,273 runs at d = 5 lose to it (EXPERIMENTS.md, A5).
 TREE_PLANNER_MIN_DIMS = 5
+
+#: A round box-tests iff its non-self (work cell, neighbor cell) pairs
+#: hide at least this many member x candidate point pairs each on
+#: average, keyed by the resolved kernel's name; other names use the
+#: ``"numpy"`` value.  The compiled kernel computes a distance for
+#: about what a box test spends per cell pair, so it needs denser
+#: pairs before the tests pay (EXPERIMENTS.md, A6).
+BOX_TEST_MIN_PAIR_DENSITY = {"c": 32, "numpy": 4}
 
 #: Below this many member/candidate pairs the process-pool dispatch
 #: overhead exceeds the arithmetic; the engine stays serial even when
@@ -253,6 +268,55 @@ def _cell_bounds(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+class _BoxTests:
+    """One fit's per-round box-test decisions and their shared bounds.
+
+    :meth:`round` hands each round a ``bounds`` hook for
+    :func:`_plan_cell_jobs`.  The plan calls it with its non-self
+    (work cell, neighbor cell) pairs ``cell_pairs`` and the member x
+    candidate point pairs ``pairs`` behind them, and box-tests iff the
+    hook returns bounds: with ``force=None`` iff
+    ``pairs >= BOX_TEST_MIN_PAIR_DENSITY[kernel_name] * cell_pairs``,
+    else as ``force`` says.  :func:`_cell_bounds` runs at most once, in
+    a ``bounds`` span opened with ``span`` inside the first round that
+    box-tests.  :attr:`context` holds each round's decision and
+    ``pairs / cell_pairs`` for the run record.
+    """
+
+    def __init__(
+        self, grid: Grid, kernel_name: str, force: bool | None, span
+    ) -> None:
+        self._grid = grid
+        self._threshold = BOX_TEST_MIN_PAIR_DENSITY.get(
+            kernel_name, BOX_TEST_MIN_PAIR_DENSITY["numpy"]
+        )
+        self._force = force
+        self._span = span
+        self._bounds: tuple[np.ndarray, np.ndarray] | None = None
+        self.context: dict[str, bool | float] = {}
+
+    def round(self, name: str):
+        """The ``bounds`` hook for the round called ``name``."""
+        self.context[f"box_tests.{name}"] = False
+        self.context[f"pair_density.{name}"] = 0.0
+
+        def decide(pairs: int, cell_pairs: int):
+            self.context[f"pair_density.{name}"] = pairs / cell_pairs
+            if self._force is None:
+                box_test = pairs >= self._threshold * cell_pairs
+            else:
+                box_test = self._force
+            self.context[f"box_tests.{name}"] = box_test
+            if not box_test:
+                return None
+            if self._bounds is None:
+                with self._span("bounds"):
+                    self._bounds = _cell_bounds(self._grid)
+            return self._bounds
+
+        return decide
+
+
 def _masked_cell_counts(grid: Grid, point_mask: np.ndarray) -> np.ndarray:
     """Per-cell population restricted to points where ``point_mask`` holds."""
     order, _ = grid.members_csr()
@@ -347,7 +411,7 @@ def _plan_cell_jobs(
     work_cells: np.ndarray,
     candidate_cell_mask: np.ndarray | None,
     candidate_point_mask: np.ndarray | None,
-    bounds: tuple[np.ndarray, np.ndarray] | None,
+    bounds: tuple[np.ndarray, np.ndarray] | Callable | None,
     eps_sq: float,
     counters: dict[str, int],
     settle_threshold: int | None = None,
@@ -380,16 +444,20 @@ def _plan_cell_jobs(
     population is credited to ``base_counts`` and the self pair never
     reaches the distance kernel: Lemma 1 counts same-cell pairs as
     neighbors *by definition*, independent of float slop in the kernel
-    (see ``repro.core.reference`` for the contract).  Both the pruned
-    and the pruning-free engine paths rely on this so their counts
+    (see ``repro.core.reference`` for the contract).  Both the
+    box-tested and the untested paths rely on this so their counts
     agree bit-for-bit with the reference and with the dense-cell
     shortcut.
 
-    When ``bounds`` is given, neighbor cells are first classified by
-    :func:`_classify_cell_pairs`: covered cells contribute their
-    (mask-restricted) population to ``base_counts`` and excluded cells
-    are dropped, both without reaching the distance kernel; only
-    boundary cells survive into the candidate arrays.  With
+    ``bounds`` is the ``(lo, hi)`` cell bounds to box-test with,
+    ``None`` for no box tests, or a hook (:meth:`_BoxTests.round`)
+    called with the point pairs behind the non-self cell pairs and
+    their number, which returns either.  With bounds, neighbor cells
+    are first classified by :func:`_classify_cell_pairs`: covered
+    cells contribute their (mask-restricted) population to
+    ``base_counts`` and excluded cells are dropped, both without
+    reaching the distance kernel; only boundary cells survive into the
+    candidate arrays.  With
     ``settle_threshold``, a work cell whose ``base_counts`` already
     reaches the threshold is settled entirely — none of its remaining
     candidates are gathered, because the verdict for every member is
@@ -430,17 +498,9 @@ def _plan_cell_jobs(
     base_counts = np.zeros(n_work, dtype=np.int64)
     settled: np.ndarray | None = None
     if candidate_point_mask is not None:
-        # Candidate-side boxes shrink to the masked (core) points:
-        # tighter boxes cover and exclude strictly more cell pairs.
         cell_cand_counts = _masked_cell_counts(grid, candidate_point_mask)
-        cand_bounds = (
-            _masked_cell_bounds(grid, candidate_point_mask)
-            if bounds is not None
-            else None
-        )
     else:
         cell_cand_counts = grid.counts
-        cand_bounds = bounds
     if seed_self and ncell_flat.size:
         source = np.repeat(np.arange(n_work, dtype=np.int64), adj_lens)
         self_pair = ncell_flat == work_cells[source]
@@ -456,7 +516,17 @@ def _plan_cell_jobs(
             keep = ~self_pair
             adj_lens = _segment_sums(keep.astype(np.int64), adj_lens)
             ncell_flat = ncell_flat[keep]
+    if callable(bounds) and ncell_flat.size:
+        # The round's box-test decision, from the pairs gathered above.
+        row_pops = _segment_sums(cell_cand_counts[ncell_flat], adj_lens)
+        bounds = bounds(int(m_sizes @ row_pops), ncell_flat.size)
     if bounds is not None and ncell_flat.size:
+        if candidate_point_mask is not None:
+            # Candidate-side boxes shrink to the masked (core) points:
+            # tighter boxes cover and exclude strictly more cell pairs.
+            cand_bounds = _masked_cell_bounds(grid, candidate_point_mask)
+        else:
+            cand_bounds = bounds
         source = np.repeat(np.arange(n_work, dtype=np.int64), adj_lens)
         covered, excluded = _classify_cell_pairs(
             bounds, cand_bounds, work_cells[source], ncell_flat, eps_sq
@@ -523,26 +593,6 @@ def _plan_cell_jobs(
     return members_flat, m_sizes, cands_flat, c_sizes, base_counts, settled
 
 
-def _gather_cell_jobs(
-    grid: Grid,
-    adjacency: "_CellAdjacency",
-    work_cells: np.ndarray,
-    candidate_cell_mask: np.ndarray | None,
-    candidate_point_mask: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pruning-free form of :func:`_plan_cell_jobs` (kept for reuse).
-
-    Returns:
-        ``(members_flat, m_sizes, cands_flat, c_sizes)`` with one size
-        entry per work cell.
-    """
-    members_flat, m_sizes, cands_flat, c_sizes, _, _ = _plan_cell_jobs(
-        grid, adjacency, work_cells, candidate_cell_mask,
-        candidate_point_mask, None, 0.0, {},
-    )
-    return members_flat, m_sizes, cands_flat, c_sizes
-
-
 def _pair_counts(
     array: np.ndarray,
     members_flat: np.ndarray,
@@ -585,9 +635,6 @@ class VectorizedEngine:
             (default) runs fully serially — the exact legacy code
             path; ``-1`` uses all cores.  Results are bit-identical
             for every value.
-        pruning: Enable cell-geometry (bounding-box) pruning.  The
-            ``False`` setting is a debug path for parity testing and
-            ablations; results are identical either way.
         kernel: Distance-kernel tier: ``"auto"`` (default; compiled C
             when a compiler is available, else NumPy), ``"numpy"``,
             ``"c"``, or a :class:`~repro.core.kernels.Kernel`
@@ -602,20 +649,29 @@ class VectorizedEngine:
             (default; grid-tree search at d >= 5, stencil enumeration
             below), ``"stencil"``, or ``"tree"``.  Identical labels
             either way.
+
+    Whether a round box-tests its cell pairs is decided per round from
+    the plan's pair density and the resolved kernel
+    (``BOX_TEST_MIN_PAIR_DENSITY``); the run record's context carries
+    each round's ``box_tests.<round>`` and ``pair_density.<round>``.
+    Labels are identical either way.
     """
 
     name = "vectorized"
 
+    #: Pins every round's box-test decision (``True``/``False``) for
+    #: parity tests, the fuzzer's variants and ablations; ``None``
+    #: applies the per-round rule.
+    _box_tests: bool | None = None
+
     def __init__(
         self,
         n_jobs: int | None = 1,
-        pruning: bool = True,
         kernel: str | Kernel | None = "auto",
         pair_budget: int | None = None,
         cell_planner: str | None = "auto",
     ) -> None:
         self.n_jobs = normalize_n_jobs(n_jobs)
-        self.pruning = bool(pruning)
         self.kernel = normalize_kernel(kernel)
         self.pair_budget = normalize_pair_budget(pair_budget)
         self.cell_planner = normalize_cell_planner(cell_planner)
@@ -657,7 +713,6 @@ class VectorizedEngine:
             context={
                 "engine": self.name,
                 "n_jobs": self.n_jobs,
-                "pruning": self.pruning,
                 "kernel": kernel.name,
                 "pair_budget": self.pair_budget,
                 "cell_planner": planner,
@@ -674,13 +729,15 @@ class VectorizedEngine:
                         grid, stencil, planner=planner, counters=counters
                     )
                 dense_cells = grid.counts >= min_pts
-                with recorder.span("bounds"):
-                    bounds = _cell_bounds(grid) if self.pruning else None
+            box_tests = _BoxTests(
+                grid, kernel.name, self._box_tests, recorder.span
+            )
 
             with recorder.span("core_points"):
                 core_mask = self._find_core_points(
                     array, grid, adjacency, dense_cells, eps, min_pts,
-                    counters, bounds=bounds, n_jobs=self.n_jobs,
+                    counters, bounds=box_tests.round("core_points"),
+                    n_jobs=self.n_jobs,
                     kernel=kernel, pair_budget=self.pair_budget,
                 )
 
@@ -692,12 +749,14 @@ class VectorizedEngine:
             with recorder.span("outliers"):
                 outlier_mask = self._find_outliers(
                     array, grid, adjacency, cell_is_core, core_mask, eps,
-                    counters, bounds=bounds, n_jobs=self.n_jobs,
-                    kernel=kernel, pair_budget=self.pair_budget,
+                    counters, bounds=box_tests.round("outliers"),
+                    n_jobs=self.n_jobs, kernel=kernel,
+                    pair_budget=self.pair_budget,
                 )
 
         recorder.metrics.merge(counters, namespace="engine")
         recorder.add_context(
+            **box_tests.context,
             n_cells=grid.n_cells,
             n_dense_cells=int(dense_cells.sum()),
             n_core_cells=int(cell_is_core.sum()),
@@ -734,7 +793,7 @@ class VectorizedEngine:
         min_pts: int,
         counters: dict[str, int],
         *,
-        bounds: tuple[np.ndarray, np.ndarray] | None = None,
+        bounds: tuple[np.ndarray, np.ndarray] | Callable | None = None,
         n_jobs: int = 1,
         kernel: Kernel | None = None,
         pair_budget: int | None = None,
@@ -744,7 +803,9 @@ class VectorizedEngine:
 
         With ``work_cells``, only the members of those cells (and of
         every dense cell) are decided; ``adjacency`` then needs rows
-        only for those cells.
+        only for those cells.  ``bounds`` goes to
+        :func:`_plan_cell_jobs`: cell bounds, a box-test hook, or
+        ``None`` for no box tests.
         """
         kernel = kernel if kernel is not None else resolve_kernel("numpy")
         pair_budget = normalize_pair_budget(pair_budget)
@@ -805,7 +866,7 @@ class VectorizedEngine:
         eps: float,
         counters: dict[str, int],
         *,
-        bounds: tuple[np.ndarray, np.ndarray] | None = None,
+        bounds: tuple[np.ndarray, np.ndarray] | Callable | None = None,
         n_jobs: int = 1,
         kernel: Kernel | None = None,
         pair_budget: int | None = None,
@@ -815,6 +876,7 @@ class VectorizedEngine:
 
         With ``work_cells``, only the members of those cells are
         decided; ``adjacency`` then needs rows only for those cells.
+        ``bounds`` is as in :meth:`_find_core_points`.
         """
         kernel = kernel if kernel is not None else resolve_kernel("numpy")
         pair_budget = normalize_pair_budget(pair_budget)

@@ -97,9 +97,11 @@ def _masks(result: Any, n: int) -> _Outcome:
     )
 
 
-def _run_vectorized(**options):
+def _run_vectorized(box_tests: bool | None = None, **options):
     def run(points: np.ndarray, eps: float, min_pts: int) -> _Outcome:
-        result = VectorizedEngine(**options).detect(points, eps, min_pts)
+        engine = VectorizedEngine(**options)
+        engine._box_tests = box_tests
+        result = engine.detect(points, eps, min_pts)
         return _masks(result, points.shape[0])
 
     return run
@@ -273,16 +275,17 @@ def _run_cellmap(points: np.ndarray, eps: float, min_pts: int) -> _Outcome:
 #: The engine matrix, name -> runner(points, eps, min_pts) -> _Outcome.
 #: The vectorized rows pin kernel/planner so each performance layer is
 #: exercised in isolation: the two legacy rows run the NumPy kernel
-#: with the stencil planner, ``vectorized_ckernel`` swaps in the
+#: with the stencil planner and pin every round's box tests on
+#: (``pruned``) or off (``unpruned``), ``vectorized_ckernel`` swaps in the
 #: compiled kernel (NumPy fallback without a compiler — still a valid
 #: differential run), and ``vectorized_tree`` swaps in the grid-tree
 #: cell planner.
 _VARIANTS: dict[str, Callable[[np.ndarray, float, int], _Outcome]] = {
     "vectorized_pruned": _run_vectorized(
-        pruning=True, kernel="numpy", cell_planner="stencil"
+        box_tests=True, kernel="numpy", cell_planner="stencil"
     ),
     "vectorized_unpruned": _run_vectorized(
-        pruning=False, kernel="numpy", cell_planner="stencil"
+        box_tests=False, kernel="numpy", cell_planner="stencil"
     ),
     "vectorized_ckernel": _run_vectorized(
         kernel="c", cell_planner="stencil"

@@ -98,9 +98,16 @@ class DetectionResult:
               max distance ``<= eps``) without a distance computation;
             * ``pairs_skipped_excluded`` — pairs dropped because the
               bounding-box min distance exceeds ``eps``;
-            * ``cells_settled_covered`` — outlier-round work cells
-              settled by a single covered core cell;
-            * ``n_jobs`` / ``pruning`` — the engine options in effect.
+            * ``cells_settled_covered`` — work cells settled by their
+              covered neighbor cells alone (``min_pts`` covered
+              points in the core round, one covered core point in the
+              outlier round);
+            * ``box_tests.<round>`` / ``pair_density.<round>`` —
+              whether the ``core_points`` and ``outliers`` rounds
+              box-tested their cell pairs, and the member x candidate
+              point pairs per non-self cell pair that decided it (the
+              four counters above stay zero when no round box-tests);
+            * ``n_jobs`` / ``kernel`` — the engine options in effect.
     """
 
     n_points: int

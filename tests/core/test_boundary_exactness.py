@@ -25,10 +25,17 @@ from repro.core.vectorized import VectorizedEngine
 from repro.exceptions import DataValidationError
 
 
+def _vectorized(box_tests):
+    """The vectorized engine with every round's box tests pinned."""
+    engine = VectorizedEngine()
+    engine._box_tests = box_tests
+    return engine.detect
+
+
 def _engines():
     return [
-        ("vectorized_pruned", VectorizedEngine(pruning=True).detect),
-        ("vectorized_unpruned", VectorizedEngine(pruning=False).detect),
+        ("vectorized_pruned", _vectorized(True)),
+        ("vectorized_unpruned", _vectorized(False)),
         (
             "distributed_group",
             DistributedEngine(num_partitions=2, join_strategy="group").detect,

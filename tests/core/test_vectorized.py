@@ -155,14 +155,34 @@ class TestResultMetadata:
         }
         assert result.timings.total > 0
 
-    def test_adjacency_and_bounds_nest_in_dense_cell_map(self, clustered_2d):
+    def test_adjacency_nests_in_dense_cell_map(self, clustered_2d):
         spans = detect(clustered_2d, 0.8, 10).record.spans
         (parent,) = [s for s in spans if s["name"] == "dense_cell_map"]
-        for name in ("adjacency", "bounds"):
-            (child,) = [s for s in spans if s["name"] == name]
-            assert child["parent_id"] == parent["span_id"]
-            assert child["depth"] == parent["depth"] + 1 == 1
-            assert child["duration_s"] <= parent["duration_s"]
+        (child,) = [s for s in spans if s["name"] == "adjacency"]
+        assert child["parent_id"] == parent["span_id"]
+        assert child["depth"] == parent["depth"] + 1 == 1
+        assert child["duration_s"] <= parent["duration_s"]
+
+    @pytest.mark.parametrize("box_tests", [None, True, False])
+    def test_bounds_span_iff_a_round_box_tested(self, clustered_2d, box_tests):
+        engine = VectorizedEngine()
+        engine._box_tests = box_tests
+        result = engine.detect(clustered_2d, 0.8, 10)
+        tested = [
+            name
+            for name in ("core_points", "outliers")
+            if result.stats[f"box_tests.{name}"]
+        ]
+        spans = result.record.spans
+        bounds = [s for s in spans if s["name"] == "bounds"]
+        assert len(bounds) == (1 if tested else 0)
+        if box_tests is not None:
+            assert bool(tested) is box_tests
+        if tested:
+            # Built inside the first round that box-tests.
+            (parent,) = [s for s in spans if s["name"] == tested[0]]
+            assert bounds[0]["parent_id"] == parent["span_id"]
+            assert bounds[0]["depth"] == 1
 
     def test_stats_present(self, clustered_2d):
         result = detect(clustered_2d, 0.8, 10)

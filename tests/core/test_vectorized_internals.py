@@ -10,7 +10,7 @@ from repro.core.neighbors import NeighborStencil
 from repro.core.vectorized import (
     _CellAdjacency,
     _flat_ranges,
-    _gather_cell_jobs,
+    _plan_cell_jobs,
     _segment_sums,
     _segmented_pair_counts,
 )
@@ -82,8 +82,9 @@ class TestGatherAndCount:
         stencil = NeighborStencil(2)
         adjacency = _CellAdjacency(grid, stencil)
         work = np.arange(grid.n_cells)
-        members, m_sizes, cands, c_sizes = _gather_cell_jobs(
-            grid, adjacency, work, None, None
+        members, m_sizes, cands, c_sizes, _, _ = _plan_cell_jobs(
+            grid, adjacency, work, None, None, bounds=None, eps_sq=0.0,
+            counters={},
         )
         counters = {"distance_computations": 0}
         counts = _segmented_pair_counts(
@@ -116,8 +117,9 @@ class TestGatherAndCount:
         stencil = NeighborStencil(2)
         adjacency = _CellAdjacency(grid, stencil)
         work = np.arange(grid.n_cells)
-        members, m_sizes, cands, c_sizes = _gather_cell_jobs(
-            grid, adjacency, work, None, None
+        members, m_sizes, cands, c_sizes, _, _ = _plan_cell_jobs(
+            grid, adjacency, work, None, None, bounds=None, eps_sq=0.0,
+            counters={},
         )
         counters = {"distance_computations": 0}
         small = _segmented_pair_counts(
@@ -146,12 +148,15 @@ class TestGatherAndCount:
         cell_is_core = np.zeros(grid.n_cells, dtype=bool)
         cell_is_core[np.unique(grid.point_cell[result.core_mask])] = True
         work = np.flatnonzero(~cell_is_core)
-        members, m_sizes, cands, c_sizes = _gather_cell_jobs(
+        members, m_sizes, cands, c_sizes, _, _ = _plan_cell_jobs(
             grid,
             adjacency,
             work,
             candidate_cell_mask=cell_is_core,
             candidate_point_mask=result.core_mask,
+            bounds=None,
+            eps_sq=eps * eps,
+            counters={},
         )
         # Every surviving candidate is a core point.
         assert result.core_mask[cands].all()
@@ -162,8 +167,9 @@ class TestGatherAndCount:
         grid = Grid(clustered_2d, 0.8)
         stencil = NeighborStencil(2)
         adjacency = _CellAdjacency(grid, stencil)
-        members, m_sizes, cands, c_sizes = _gather_cell_jobs(
-            grid, adjacency, np.empty(0, dtype=np.int64), None, None
+        members, m_sizes, cands, c_sizes, _, _ = _plan_cell_jobs(
+            grid, adjacency, np.empty(0, dtype=np.int64), None, None,
+            bounds=None, eps_sq=0.0, counters={},
         )
         assert members.size == 0 and cands.size == 0
         counters = {"distance_computations": 0}

@@ -6,6 +6,10 @@ fails here before any user notices.
 """
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -204,3 +208,22 @@ def test_cli_module_has_main():
     cli = importlib.import_module("repro.cli")
     assert callable(cli.main)
     assert callable(cli.build_parser)
+
+
+def test_entry_points_do_not_import_scipy():
+    # scipy.spatial costs ~0.3 s to import; only k_distance_graph needs
+    # it, so neither the package nor the CLI, serve and stream entry
+    # points may load it (a fresh process is the only clean slate).
+    import repro
+
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    code = (
+        "import sys, repro, repro.cli, repro.serve, repro.stream; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120, check=True, env=env,
+    )
+    assert completed.stdout.strip() == "[]"
