@@ -44,6 +44,10 @@ def dataset() -> np.ndarray:
 
 def _timed_detect(kernel: str, points: np.ndarray):
     engine = VectorizedEngine(kernel=kernel)
+    # Each kernel has its own box-test threshold (Ablation A6); pin
+    # every round's box tests on so both rows run the same plan and
+    # only the kernel differs.
+    engine._box_tests = True
     start = time.perf_counter()
     result = engine.detect(points, EPS, MIN_PTS)
     return result, time.perf_counter() - start
