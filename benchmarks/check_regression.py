@@ -96,9 +96,6 @@ def run_signature(record: RunRecord) -> str:
         "kernel",
         "cell_planner",
         "pair_budget",
-        "quality",
-        "sample_fraction",
-        "sample_method",
         "seed",
     )
     config = {

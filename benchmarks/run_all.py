@@ -36,7 +36,6 @@ FAST_BENCHES = [
     "bench_ablation_dimensionality",
     "bench_ablation_pruning",
     "bench_ablation_kernels",
-    "bench_quality_frontier",
     "bench_extension_geospatial_quality",
     "bench_serving_throughput",
     "bench_qa_fuzz",

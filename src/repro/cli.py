@@ -129,28 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         "engine (auto uses the grid tree in high dimensions)",
     )
     detect.add_argument(
-        "--quality",
-        choices=("exact", "balanced", "fast"),
-        default="exact",
-        help="quality preset: exact (default) or the approximate tier "
-        "(never misses an exact outlier; self-reports approx.* "
-        "precision/recall stats; vectorized engine only)",
-    )
-    detect.add_argument(
-        "--sample-fraction",
-        type=float,
-        metavar="F",
-        help="override the approximate preset's core-sample fraction "
-        "in (0, 1] (rejected with --quality exact)",
-    )
-    detect.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="RNG seed for the approximate tier (recorded in the run "
-        "signature; exact runs are deterministic regardless)",
-    )
-    detect.add_argument(
         "--output", help="write outlier indices here instead of stdout"
     )
     detect.add_argument(
@@ -210,26 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "numpy", "c"),
         default="auto",
         help="distance-kernel tier (labels are identical)",
-    )
-    fit.add_argument(
-        "--quality",
-        choices=("exact", "balanced", "fast"),
-        default="exact",
-        help="quality preset for the fit (the artifact records the "
-        "quality config; vectorized engine only)",
-    )
-    fit.add_argument(
-        "--sample-fraction",
-        type=float,
-        metavar="F",
-        help="override the approximate preset's core-sample fraction "
-        "in (0, 1] (rejected with --quality exact)",
-    )
-    fit.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="RNG seed for the approximate tier",
     )
     fit.add_argument(
         "--save-artifact",
@@ -474,9 +432,6 @@ def _run_detect(args: argparse.Namespace) -> int:
         eps=eps,
         min_pts=args.min_pts,
         engine=args.engine,
-        quality=args.quality,
-        sample_fraction=args.sample_fraction,
-        seed=args.seed,
         **engine_options,
     )
     sink = obs.JsonlSink(args.record) if args.record else None
@@ -603,9 +558,6 @@ def _run_fit(args: argparse.Namespace) -> int:
         min_pts=args.min_pts,
         engine=args.engine,
         kernel=args.kernel,
-        quality=args.quality,
-        sample_fraction=args.sample_fraction,
-        seed=args.seed,
     )
     result = detector.fit(points)
     name = args.name or pathlib.Path(args.save_artifact).stem

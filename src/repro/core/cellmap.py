@@ -18,12 +18,8 @@ mapping keyed by cell coordinate tuples.
 from __future__ import annotations
 
 import enum
-import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 
-import numpy as np
-
-from repro.core.grid import cell_side_length, check_grid_domain
 from repro.core.neighbors import NeighborStencil
 from repro.exceptions import ParameterError
 
@@ -129,68 +125,6 @@ class CellMap:
             for candidate in self.stencil.neighbors_of(cell)
             if self._types.get(candidate, CellType.OTHER).is_core
         ]
-
-    def classify(
-        self,
-        points: np.ndarray,
-        core_points_by_cell: Mapping[Cell, Sequence[Sequence[float]]],
-        eps: float,
-    ) -> np.ndarray:
-        """Exact out-of-sample labels against this fitted map.
-
-        The record-at-a-time counterpart of
-        :meth:`repro.core.classify.CoreModel.classify`, matching how
-        the distributed engine walks the broadcast map: a query whose
-        cell is a core cell is an inlier outright (Lemma 1); any other
-        query is an inlier iff some core point of a neighboring core
-        cell lies within ``eps`` (Definition 3).  Distances accumulate
-        per dimension in the engines' order, so labels agree
-        bit-identically with ``fit`` on the training data.
-
-        Args:
-            points: ``(n, d)`` array of query points.
-            core_points_by_cell: Mapping from cell coordinates to the
-                coordinate sequences of the core points in that cell
-                (e.g. built from ``result.core_mask``).
-            eps: Neighborhood radius the map was fitted with.
-
-        Returns:
-            ``(n,)`` int64 label array: 1 for outliers, 0 for inliers.
-        """
-        array = np.ascontiguousarray(points, dtype=np.float64)
-        if array.size == 0 and array.ndim <= 2:
-            # Empty query batch: zero labels (matches CoreModel.classify).
-            return np.zeros(0, dtype=np.int64)
-        if array.ndim != 2 or array.shape[1] != self.n_dims:
-            raise ParameterError(
-                f"points must have shape (n, {self.n_dims}), "
-                f"got {array.shape}"
-            )
-        side = cell_side_length(eps, self.n_dims)
-        check_grid_domain(array, side)
-        eps_sq = eps * eps
-        labels = np.zeros(array.shape[0], dtype=np.int64)
-        for i, row in enumerate(array):
-            cell = tuple(int(math.floor(value / side)) for value in row)
-            if self.is_core_cell(cell):
-                continue
-            covered = False
-            for neighbor in self.stencil.neighbors_of(cell):
-                if not self._types.get(neighbor, CellType.OTHER).is_core:
-                    continue
-                for candidate in core_points_by_cell.get(neighbor, ()):
-                    sq = 0.0
-                    for a, b in zip(row, candidate):
-                        delta = float(a) - float(b)
-                        sq += delta * delta
-                    if sq <= eps_sq:
-                        covered = True
-                        break
-                if covered:
-                    break
-            if not covered:
-                labels[i] = 1
-        return labels
 
     def cells_of_type(self, cell_type: CellType) -> Iterator[Cell]:
         """Iterate over the cells recorded with the given type."""

@@ -187,24 +187,6 @@ class CoreModel:
         return cell_side_length(self.eps, self.n_dims)
 
     @property
-    def quality(self) -> str:
-        """The quality preset of the fit this model came from.
-
-        ``"exact"`` (also for legacy models with no recorded config),
-        ``"balanced"``, or ``"fast"``.  Approximate models hold the
-        approximate tier's core subset; classify against one flags a
-        superset of the exact outliers (recall 1.0, reduced precision).
-        """
-        return str(self.metadata.get("quality", "exact"))
-
-    @property
-    def quality_config(self) -> dict[str, Any]:
-        """Validated quality config carried from the fit (may be empty)."""
-        from repro.core.approx import validate_quality_config
-
-        return validate_quality_config(self.metadata)
-
-    @property
     def n_core_points(self) -> int:
         """Number of stored core points."""
         return int(self.core_points.shape[0])
@@ -220,65 +202,6 @@ class CoreModel:
             self.core_points.nbytes
             + self.core_cells.nbytes
             + self.core_starts.nbytes
-        )
-
-    def subsample(
-        self, sample_fraction: float, seed: int | None = 0
-    ) -> "CoreModel":
-        """A smaller model holding a seeded subset of the core points.
-
-        The serving-side form of the approximate tier's one-sided
-        trade: classifying against a core subset can only flag *more*
-        outliers, never miss one the full model would flag, so outlier
-        recall against the full model stays 1.0 while memory and
-        per-query distance work shrink with the fraction.  The sampled
-        fraction and seed are recorded in the returned model's
-        metadata (``serving_sample_fraction`` / ``serving_seed``).
-
-        Raises:
-            ParameterError: On an invalid fraction or seed.
-        """
-        from repro.core.approx import (
-            normalize_sample_fraction,
-            normalize_seed,
-        )
-
-        fraction = normalize_sample_fraction(sample_fraction)
-        seed = normalize_seed(seed)
-        n_core = self.n_core_points
-        metadata = {
-            **self.metadata,
-            "serving_sample_fraction": fraction,
-            "serving_seed": seed,
-        }
-        if n_core == 0:
-            return CoreModel(
-                eps=self.eps, min_pts=self.min_pts, n_dims=self.n_dims,
-                core_points=self.core_points, core_cells=self.core_cells,
-                core_starts=self.core_starts, n_train=self.n_train,
-                engine=self.engine, metadata=metadata,
-            )
-        n_keep = min(max(int(np.ceil(fraction * n_core)), 1), n_core)
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(n_core, size=n_keep, replace=False))
-        # Cell of each kept point, via the CSR offsets; cells emptied
-        # by the sample are dropped so the CSR invariant holds.
-        cell_ids = (
-            np.searchsorted(self.core_starts, keep, side="right") - 1
-        )
-        kept_cells, counts = np.unique(cell_ids, return_counts=True)
-        return CoreModel(
-            eps=self.eps,
-            min_pts=self.min_pts,
-            n_dims=self.n_dims,
-            core_points=self.core_points[keep],
-            core_cells=self.core_cells[kept_cells],
-            core_starts=np.concatenate(
-                ([0], np.cumsum(counts))
-            ).astype(np.int64),
-            n_train=self.n_train,
-            engine=self.engine,
-            metadata=metadata,
         )
 
     # -- classification ------------------------------------------------

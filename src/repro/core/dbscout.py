@@ -8,10 +8,7 @@
   Algorithms 1-5, parameterized by partition count and join strategy.
 
 Both are exact and produce identical results; the engine parity is
-enforced by the test suite.  ``quality="balanced"`` / ``"fast"`` swap
-the vectorized engine for the approximate tier
-(:mod:`repro.core.approx`): faster, never misses an exact outlier, and
-self-reports precision/recall/F1 against the exact labels.
+enforced by the test suite.
 
 Example:
     >>> import numpy as np
@@ -30,12 +27,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.approx import (
-    ApproxEngine,
-    normalize_quality,
-    normalize_sample_fraction,
-    normalize_seed,
-)
 from repro.core.classify import CoreModel
 from repro.core.distributed import DistributedEngine
 from repro.core.validation import validate_parameters
@@ -59,22 +50,6 @@ class DBSCOUT:
         eps: Neighborhood radius (positive).
         min_pts: Density threshold (positive integer).
         engine: ``"vectorized"`` or ``"distributed"``.
-        quality: ``"exact"`` (default; the proven bit-exact pipeline),
-            ``"balanced"``, or ``"fast"``.  The approximate presets
-            (:mod:`repro.core.approx`) evaluate density only for a
-            seeded sample and prefilter cell pairs with random
-            projections; they may flag extra outliers but never miss
-            one — outlier recall vs the exact engine is 1.0 by
-            construction — and every approximate run audits itself,
-            reporting ``approx.precision`` / ``approx.recall`` /
-            ``approx.f1`` in its stats.  Only the vectorized engine
-            supports approximate presets.
-        sample_fraction: Override the preset's sample fraction
-            (``(0, 1]``; rejected when ``quality="exact"``).
-        seed: RNG seed for the approximate tier (non-negative int;
-            default 0).  A fixed seed makes approximate runs
-            bit-identically reproducible; exact runs are
-            deterministic regardless.
         **engine_options: Extra keyword arguments per engine.  The
             vectorized engine accepts ``n_jobs`` (worker processes for
             the distance kernel; ``1`` = serial, ``-1`` = all cores),
@@ -100,9 +75,6 @@ class DBSCOUT:
         eps: float,
         min_pts: int,
         engine: str = "vectorized",
-        quality: str = "exact",
-        sample_fraction: float | None = None,
-        seed: int | None = None,
         **engine_options: Any,
     ) -> None:
         self.eps, self.min_pts = validate_parameters(eps, min_pts)
@@ -110,74 +82,27 @@ class DBSCOUT:
             raise ParameterError(
                 f"engine must be one of {_ENGINES}, got {engine!r}"
             )
-        self.quality = normalize_quality(quality)
-        self.seed = normalize_seed(seed)
-        if self.quality == "exact":
-            if sample_fraction is not None:
-                raise ParameterError(
-                    "sample_fraction only applies to the approximate "
-                    "presets; quality='exact' is never subsampled "
-                    "(pass quality='balanced' or 'fast')"
-                )
-            self.sample_fraction: float | None = None
-        else:
-            if engine != "vectorized":
-                raise ParameterError(
-                    f"quality={self.quality!r} requires the vectorized "
-                    "engine; the distributed engine is exact-only"
-                )
-            self.sample_fraction = (
-                None
-                if sample_fraction is None
-                else normalize_sample_fraction(sample_fraction)
-            )
         if engine == "vectorized":
             n_jobs = engine_options.pop("n_jobs", 1)
             kernel = engine_options.pop("kernel", "auto")
             pair_budget = engine_options.pop("pair_budget", None)
             cell_planner = engine_options.pop("cell_planner", "auto")
-            approx_options = {}
-            if self.quality != "exact":
-                approx_options = {
-                    key: engine_options.pop(key)
-                    for key in (
-                        "sample_method", "rp_prefilter", "n_projections",
-                        "rp_margin", "audit",
-                    )
-                    if key in engine_options
-                }
             if engine_options:
                 raise ParameterError(
                     "the vectorized engine accepts only the n_jobs, "
-                    "kernel, pair_budget, and cell_planner options "
-                    "(plus sample_method, rp_prefilter, "
-                    "n_projections, rp_margin, and audit with an "
-                    "approximate quality preset); got "
+                    "kernel, pair_budget, and cell_planner options; got "
                     + ", ".join(sorted(engine_options))
                 )
-            # The engines' normalizers raise ParameterError for invalid
+            # The engine's normalizers raise ParameterError for invalid
             # n_jobs / kernel / pair_budget / cell_planner values.
-            if self.quality == "exact":
-                self._engine: (
-                    VectorizedEngine | ApproxEngine | DistributedEngine
-                ) = VectorizedEngine(
+            self._engine: VectorizedEngine | DistributedEngine = (
+                VectorizedEngine(
                     n_jobs=n_jobs,
                     kernel=kernel,
                     pair_budget=pair_budget,
                     cell_planner=cell_planner,
                 )
-            else:
-                self._engine = ApproxEngine(
-                    quality=self.quality,
-                    sample_fraction=self.sample_fraction,
-                    seed=self.seed,
-                    n_jobs=n_jobs,
-                    kernel=kernel,
-                    pair_budget=pair_budget,
-                    cell_planner=cell_planner,
-                    **approx_options,
-                )
-                self.sample_fraction = self._engine.sample_fraction
+            )
         else:
             self._engine = DistributedEngine(**engine_options)
         self.engine_name = engine
@@ -231,28 +156,19 @@ class DBSCOUT:
         if self._result is None or self._fit_points is None:
             raise NotFittedError("call fit() before accessing core_model_")
         if self._core_model is None:
-            quality_config = (
-                self._engine.quality_config()
-                if isinstance(self._engine, ApproxEngine)
-                else {"quality": "exact"}
-            )
             self._core_model = CoreModel.from_fit(
                 self._fit_points,
                 self._result,
                 self.eps,
                 self.min_pts,
                 engine=getattr(self._engine, "name", self.engine_name),
-                **quality_config,
             )
         return self._core_model
 
     def __repr__(self) -> str:
-        quality = (
-            "" if self.quality == "exact" else f", quality={self.quality!r}"
-        )
         return (
             f"DBSCOUT(eps={self.eps}, min_pts={self.min_pts}, "
-            f"engine={self.engine_name!r}{quality})"
+            f"engine={self.engine_name!r})"
         )
 
 

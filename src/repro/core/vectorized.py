@@ -234,6 +234,13 @@ class _CellAdjacency:
             self._starts[cell_index] : self._starts[cell_index + 1]
         ]
 
+    def rows(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbor cell ids of ``cells``, flattened in ``cells``
+        order, and the length of each cell's row."""
+        starts = self._starts[cells]
+        lengths = self._starts[cells + 1] - starts
+        return self._targets[_flat_ranges(starts, lengths)], lengths
+
 
 def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Sums of consecutive runs of the given lengths (empty runs -> 0)."""
@@ -324,29 +331,42 @@ def _masked_cell_counts(grid: Grid, point_mask: np.ndarray) -> np.ndarray:
 
 
 def _masked_cell_bounds(
-    grid: Grid, point_mask: np.ndarray
+    grid: Grid,
+    point_mask: np.ndarray,
+    masked_counts: np.ndarray,
+    cells: np.ndarray,
+    bounds: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell bounding boxes over only the points where the mask holds.
+    """Bounding boxes of ``cells`` over only the points where the mask holds.
 
-    Cells without any masked member get ``(+inf, -inf)`` boxes, which
-    classify as excluded against every finite box — exactly right,
-    since they contribute no candidates.
+    ``masked_counts`` is each cell's masked population
+    (:func:`_masked_cell_counts`) and ``bounds`` the unmasked boxes
+    (:func:`_cell_bounds`).  A cell whose members are all masked keeps
+    its ``bounds`` box, so only the partly masked cells of ``cells``
+    are gathered and boxed.  Cells without any masked member get
+    ``(+inf, -inf)`` boxes, which classify as excluded against every
+    finite box — exactly right, since they contribute no candidates.
+    Rows outside ``cells`` are left as in ``bounds``; read only rows
+    of ``cells``.
     """
-    n_dims = grid.points.shape[1]
-    lo = np.full((grid.n_cells, n_dims), np.inf)
-    hi = np.full((grid.n_cells, n_dims), -np.inf)
-    order, _ = grid.members_csr()
-    keep = point_mask[order]
-    if not keep.any():
-        return lo, hi
-    masked_points = grid.points[order][keep]
-    counts = _segment_sums(keep.astype(np.int64), grid.counts)
+    partial = cells[masked_counts[cells] < grid.counts[cells]]
+    if partial.size == 0:
+        return bounds
+    lo, hi = bounds[0].copy(), bounds[1].copy()
+    lo[partial] = np.inf
+    hi[partial] = -np.inf
+    order, member_starts = grid.members_csr()
+    members = order[
+        _flat_ranges(member_starts[partial], grid.counts[partial])
+    ]
+    masked_points = grid.points[members[point_mask[members]]]
+    counts = masked_counts[partial]
     nonempty = counts > 0
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    lo[nonempty] = np.minimum.reduceat(
+    lo[partial[nonempty]] = np.minimum.reduceat(
         masked_points, starts[nonempty], axis=0
     )
-    hi[nonempty] = np.maximum.reduceat(
+    hi[partial[nonempty]] = np.maximum.reduceat(
         masked_points, starts[nonempty], axis=0
     )
     return lo, hi
@@ -407,8 +427,8 @@ def _classify_cell_pairs(
 
 def _plan_cell_jobs(
     grid: Grid,
-    adjacency: "_CellAdjacency",
     work_cells: np.ndarray,
+    rows: tuple[np.ndarray, np.ndarray],
     candidate_cell_mask: np.ndarray | None,
     candidate_point_mask: np.ndarray | None,
     bounds: tuple[np.ndarray, np.ndarray] | Callable | None,
@@ -416,8 +436,6 @@ def _plan_cell_jobs(
     counters: dict[str, int],
     settle_threshold: int | None = None,
     seed_self: bool = False,
-    member_mask: np.ndarray | None = None,
-    pair_filter=None,
 ) -> tuple[
     np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
     np.ndarray | None,
@@ -427,18 +445,8 @@ def _plan_cell_jobs(
     For every cell in ``work_cells`` gather (a) its member point
     indices and (b) the member point indices of its neighboring cells
     (optionally restricted to cells where ``candidate_cell_mask`` holds
-    and points where ``candidate_point_mask`` holds).
-
-    With ``member_mask``, the member side is restricted to the points
-    where the mask holds — the approximate tier's DBSCAN++ subsampling
-    (``repro.core.approx``) evaluates density only for sampled members
-    while the candidate side stays complete.  ``pair_filter``, when
-    given, is called with the flat ``(work_cell_ids, neighbor_cell_ids)``
-    arrays of the pairs that would reach the distance kernel (after
-    covered/excluded classification and settling) and returns a keep
-    mask; the random-projection prefilter drops boundary cell pairs
-    here.  Both hooks default to off, leaving the exact engine paths
-    untouched.
+    and points where ``candidate_point_mask`` holds).  ``rows`` holds
+    the work cells' adjacency rows (:meth:`_CellAdjacency.rows`).
 
     With ``seed_self``, the work cell's own (mask-restricted)
     population is credited to ``base_counts`` and the self pair never
@@ -472,29 +480,14 @@ def _plan_cell_jobs(
         ``None`` when ``settle_threshold`` is ``None``).
     """
     order, member_starts = grid.members_csr()
-    adj_targets = adjacency._targets
-    adj_starts = adjacency._starts
-    # Neighbor cell ids, flattened over the work cells.
-    adj_lens = adj_starts[work_cells + 1] - adj_starts[work_cells]
-    ncell_flat = adj_targets[_flat_ranges(adj_starts[work_cells], adj_lens)]
+    ncell_flat, adj_lens = rows
     if candidate_cell_mask is not None:
         keep = candidate_cell_mask[ncell_flat]
         # Per-work-cell surviving neighbor counts.
         adj_lens = _segment_sums(keep.astype(np.int64), adj_lens)
         ncell_flat = ncell_flat[keep]
     n_work = work_cells.shape[0]
-    if member_mask is None:
-        m_sizes = grid.counts[work_cells]
-        masked_members: np.ndarray | None = None
-    else:
-        masked_members = order[
-            _flat_ranges(member_starts[work_cells], grid.counts[work_cells])
-        ]
-        keep_members = member_mask[masked_members]
-        m_sizes = _segment_sums(
-            keep_members.astype(np.int64), grid.counts[work_cells]
-        )
-        masked_members = masked_members[keep_members]
+    m_sizes = grid.counts[work_cells]
     base_counts = np.zeros(n_work, dtype=np.int64)
     settled: np.ndarray | None = None
     if candidate_point_mask is not None:
@@ -524,7 +517,13 @@ def _plan_cell_jobs(
         if candidate_point_mask is not None:
             # Candidate-side boxes shrink to the masked (core) points:
             # tighter boxes cover and exclude strictly more cell pairs.
-            cand_bounds = _masked_cell_bounds(grid, candidate_point_mask)
+            # Only the neighbor cells' rows are read.
+            read = np.zeros(grid.n_cells, dtype=bool)
+            read[ncell_flat] = True
+            cand_bounds = _masked_cell_bounds(
+                grid, candidate_point_mask, cell_cand_counts,
+                np.flatnonzero(read), bounds,
+            )
         else:
             cand_bounds = bounds
         source = np.repeat(np.arange(n_work, dtype=np.int64), adj_lens)
@@ -565,12 +564,6 @@ def _plan_cell_jobs(
         ncell_flat = ncell_flat[keep]
     elif settle_threshold is not None:
         settled = np.zeros(n_work, dtype=bool)
-    if pair_filter is not None and ncell_flat.size:
-        source = np.repeat(np.arange(n_work, dtype=np.int64), adj_lens)
-        keep = pair_filter(work_cells[source], ncell_flat)
-        if not keep.all():
-            adj_lens = _segment_sums(keep.astype(np.int64), adj_lens)
-            ncell_flat = ncell_flat[keep]
     # Candidate points: the members of every (surviving) neighbor cell.
     cand_per_ncell = grid.counts[ncell_flat]
     cands_flat = order[
@@ -584,12 +577,7 @@ def _plan_cell_jobs(
         c_sizes = _segment_sums(keep.astype(np.int64), c_sizes)
         cands_flat = cands_flat[keep]
     # Members of the work cells themselves.
-    if masked_members is None:
-        members_flat = order[
-            _flat_ranges(member_starts[work_cells], m_sizes)
-        ]
-    else:
-        members_flat = masked_members
+    members_flat = order[_flat_ranges(member_starts[work_cells], m_sizes)]
     return members_flat, m_sizes, cands_flat, c_sizes, base_counts, settled
 
 
@@ -820,23 +808,23 @@ class VectorizedEngine:
             return core_mask
         # Pruning (Sec. III-G2): a cell whose whole neighborhood cannot
         # reach min_pts points has no core members — no distances needed.
-        adj_starts = adjacency._starts
-        adj_lens = adj_starts[work + 1] - adj_starts[work]
-        ncell_flat = adjacency._targets[
-            _flat_ranges(adj_starts[work], adj_lens)
-        ]
+        ncell_flat, adj_lens = adjacency.rows(work)
         neighborhood_pop = _segment_sums(grid.counts[ncell_flat], adj_lens)
         pruned = neighborhood_pop < min_pts
         counters["pruned_cells"] += int(pruned.sum())
-        work = work[~pruned]
-        if work.size == 0:
+        if pruned.all():
             return core_mask
+        if pruned.any():
+            # The plan takes the surviving cells' rows from this gather.
+            ncell_flat = ncell_flat[np.repeat(~pruned, adj_lens)]
+            adj_lens = adj_lens[~pruned]
+            work = work[~pruned]
         # A work cell whose covered neighbor populations alone reach
         # min_pts is settled: every member is core with no distances.
         members_flat, m_sizes, cands_flat, c_sizes, base_counts, _ = (
             _plan_cell_jobs(
-                grid, adjacency, work, None, None, bounds, eps_sq, counters,
-                settle_threshold=min_pts, seed_self=True,
+                grid, work, (ncell_flat, adj_lens), None, None, bounds,
+                eps_sq, counters, settle_threshold=min_pts, seed_self=True,
             )
         )
         counts = _pair_counts(
@@ -895,7 +883,7 @@ class VectorizedEngine:
         # and skips the distance kernel entirely.
         members_flat, m_sizes, cands_flat, c_sizes, base_counts, _ = (
             _plan_cell_jobs(
-                grid, adjacency, work,
+                grid, work, adjacency.rows(work),
                 candidate_cell_mask=cell_is_core,
                 candidate_point_mask=core_mask,
                 bounds=bounds,

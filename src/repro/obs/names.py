@@ -50,30 +50,6 @@ FAMILIES: dict[str, tuple[str, str]] = {
         "counter", "pairs skipped because the cell pair is covered"),
     "engine.pairs_skipped_excluded": (
         "counter", "pairs skipped because the cell pair is excluded"),
-    # -- approx.* : the approximate quality tier -----------------------
-    "approx.sampled_points": (
-        "gauge", "points in the density-check sample (DBSCAN++ subset)"),
-    "approx.rp_cell_pairs_pruned": (
-        "counter", "cell pairs dropped by the random-projection prefilter"),
-    "approx.rp_pairs_pruned": (
-        "counter", "point pairs dropped by the random-projection prefilter"),
-    "approx.flagged_outliers": (
-        "gauge", "outliers flagged by the approximate run"),
-    "approx.exact_outliers": (
-        "gauge", "audited exact outliers inside the flagged set"),
-    "approx.false_outliers": (
-        "gauge", "flagged points the audit proved are exact inliers"),
-    "approx.precision": (
-        "gauge", "outlier precision of the run vs the exact labels"),
-    "approx.recall": (
-        "gauge", "outlier recall of the run vs the exact labels "
-                 "(1.0 by construction)"),
-    "approx.f1": (
-        "gauge", "outlier F1 of the run vs the exact labels"),
-    "approx.audit_candidate_points": (
-        "gauge", "ring members whose exact core status the audit computed"),
-    "approx.audit_distance_computations": (
-        "counter", "distances evaluated by the exactness audit"),
     # -- kernel.* : distance-kernel tier -------------------------------
     "kernel.fallback": (
         "counter", "compiled-kernel builds that fell back to NumPy"),

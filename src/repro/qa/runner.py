@@ -3,10 +3,9 @@
 For each dataset the runner executes the full engine matrix —
 vectorized (pruned and unpruned NumPy, compiled C kernel, grid-tree
 cell planner), distributed (all three join strategies), incremental
-(split insert and insert+remove churn) — plus
-both out-of-sample classification paths
-(:meth:`repro.core.classify.CoreModel.classify` on the training points
-and :meth:`repro.core.cellmap.CellMap.classify`), and diffs the *full*
+(split insert and insert+remove churn) — plus out-of-sample
+classification (:meth:`repro.core.classify.CoreModel.classify` on the
+training points), and diffs the *full*
 core and outlier label vectors against
 :func:`repro.core.reference.brute_force_detect`.  Outlier counts are
 never compared alone: two engines can agree on the count while
@@ -30,10 +29,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.cellmap import CellMap
 from repro.core.classify import CoreModel
 from repro.core.distributed import DistributedEngine
-from repro.core.grid import Grid, cell_side_length
 from repro.core.incremental import IncrementalDBSCOUT
 from repro.core.reference import brute_force_detect
 from repro.core.vectorized import VectorizedEngine
@@ -204,29 +201,6 @@ def _run_incremental_live(
     return _masks(live.result(), n)
 
 
-def _run_quality_exact(
-    points: np.ndarray, eps: float, min_pts: int
-) -> _Outcome:
-    """The facade with ``quality="exact"`` — the exactness guardrail.
-
-    The quality knob must leave the exact pipeline untouched: routing
-    through :class:`repro.core.dbscout.DBSCOUT` with the default
-    preset has to reproduce the oracle bit-for-bit, proving no
-    approximate-tier code leaks into exact runs.
-    """
-    from repro.core.dbscout import DBSCOUT
-
-    detector = DBSCOUT(
-        eps,
-        min_pts,
-        quality="exact",
-        seed=0,
-        kernel="numpy",
-        cell_planner="stencil",
-    )
-    return _masks(detector.fit(points), points.shape[0])
-
-
 def _run_classify(points: np.ndarray, eps: float, min_pts: int) -> _Outcome:
     """CoreModel.classify over the training points themselves.
 
@@ -237,35 +211,6 @@ def _run_classify(points: np.ndarray, eps: float, min_pts: int) -> _Outcome:
     reference = brute_force_detect(points, eps, min_pts)
     model = CoreModel.from_fit(points, reference, eps, min_pts)
     labels = model.classify(points)
-    return _Outcome(
-        core=np.asarray(reference.core_mask, dtype=bool),
-        outlier=np.asarray(labels, dtype=bool),
-    )
-
-
-def _run_cellmap(points: np.ndarray, eps: float, min_pts: int) -> _Outcome:
-    """Record-at-a-time CellMap.classify against the reference fit."""
-    reference = brute_force_detect(points, eps, min_pts)
-    if points.shape[0] == 0:
-        return _Outcome(
-            core=np.zeros(0, dtype=bool), outlier=np.zeros(0, dtype=bool)
-        )
-    grid = Grid(points, eps)
-    counts = {
-        tuple(int(c) for c in cell): int(count)
-        for cell, count in zip(grid.cells, grid.counts)
-    }
-    cell_map = CellMap.from_counts(counts, min_pts)
-    side = cell_side_length(eps, points.shape[1])
-    coords = np.floor(points / side).astype(np.int64)
-    core_by_cell: dict[tuple, list[list[float]]] = {}
-    for index in np.flatnonzero(reference.core_mask):
-        cell = tuple(int(c) for c in coords[index])
-        core_by_cell.setdefault(cell, []).append(
-            [float(v) for v in points[index]]
-        )
-        cell_map.mark_core(cell)
-    labels = cell_map.classify(points, core_by_cell, eps)
     return _Outcome(
         core=np.asarray(reference.core_mask, dtype=bool),
         outlier=np.asarray(labels, dtype=bool),
@@ -293,14 +238,12 @@ _VARIANTS: dict[str, Callable[[np.ndarray, float, int], _Outcome]] = {
     "vectorized_tree": _run_vectorized(
         kernel="numpy", cell_planner="tree"
     ),
-    "vectorized_quality_exact": _run_quality_exact,
     "distributed_group": _run_distributed("group"),
     "distributed_plain": _run_distributed("plain"),
     "distributed_broadcast": _run_distributed("broadcast"),
     "incremental_split": _run_incremental_split,
     "incremental_churn": _run_incremental_churn,
     "classify": _run_classify,
-    "cellmap_classify": _run_cellmap,
 }
 
 #: Default matrix: every in-process variant.

@@ -91,9 +91,9 @@ class DetectorArtifact:
     ) -> "DetectorArtifact":
         """Wrap a fitted model for persistence under ``name``.
 
-        The model's own metadata (quality config, serving-sample facts)
-        is carried into the header so it round-trips through
-        save/load; explicit ``**metadata`` keys take precedence.
+        The model's own metadata is carried into the header so it
+        round-trips through save/load; explicit ``**metadata`` keys
+        take precedence.
         """
         return cls(
             model=model, name=name, metadata={**model.metadata, **metadata}
@@ -166,8 +166,9 @@ class DetectorArtifact:
 
         Raises:
             ArtifactError: If the file is missing, is not an artifact,
-                has an unsupported schema version, or its arrays do not
-                match the header manifest.
+                has an unsupported schema version, its arrays do not
+                match the header manifest, or it holds a non-exact
+                (approximate or subsampled) model.
         """
         path = pathlib.Path(path)
         with span("serve.artifact.load", path=str(path)):
@@ -248,13 +249,25 @@ class DetectorArtifact:
                     "tampered artifact"
                 )
         metadata = header.get("metadata")
-        if isinstance(metadata, dict) and metadata:
-            # An artifact claiming an unknown quality preset or a bad
-            # sample_fraction must fail at load, not at serve time.
-            # ParameterError propagates as-is per the facade contract.
-            from repro.core.approx import validate_quality_config
-
-            validate_quality_config(metadata)
+        if isinstance(metadata, dict):
+            # Models from the removed approximate tier hold a subset of
+            # the core points: classifying against one would not give
+            # exact labels, so they fail at load, not at serve time.
+            quality = metadata.get("quality", "exact")
+            if quality != "exact":
+                raise ArtifactError(
+                    f"{path} was saved by a fit with quality {quality!r}; "
+                    "the quality option was removed and only exact models "
+                    "load"
+                )
+            if "serving_sample_fraction" in metadata:
+                raise ArtifactError(
+                    f"{path} holds a core model subsampled to "
+                    "serving_sample_fraction="
+                    f"{metadata['serving_sample_fraction']!r}; "
+                    "CoreModel.subsample was removed and only exact "
+                    "models load"
+                )
         return header
 
     # -- views ---------------------------------------------------------

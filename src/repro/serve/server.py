@@ -91,6 +91,7 @@ class OutlierServer:
         self._metrics_port = metrics_port
         self.metrics_http: MetricsHTTPServer | None = None
         self._server: asyncio.base_events.Server | None = None
+        self._handlers: set[asyncio.Task] = set()
         self._streams: dict[str, Any] = {}
         self._ingest_lock = asyncio.Lock()
 
@@ -138,7 +139,7 @@ class OutlierServer:
     async def start(self) -> "OutlierServer":
         """Bind and start accepting connections; resolves :attr:`port`."""
         self._server = await asyncio.start_server(
-            self._handle_connection,
+            self._on_connection,
             self.host,
             self.port,
             limit=MAX_LINE_BYTES,
@@ -158,16 +159,38 @@ class OutlierServer:
             await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        """Stop accepting connections and close the listener."""
+        """End open connections, then close the listener.
+
+        Each connection handler is cancelled and awaited, so its
+        ``finally`` closes its writer while the loop still runs.  The
+        listener closes last, with no await in between: a caller whose
+        loop stops once :meth:`serve_forever` returns still sees this
+        coroutine finish.
+        """
         if self.metrics_http is not None:
             self.metrics_http.close()
             self.metrics_http = None
         if self._server is not None:
+            while self._handlers:
+                handlers = list(self._handlers)
+                for task in handlers:
+                    task.cancel()
+                await asyncio.gather(*handlers, return_exceptions=True)
             self._server.close()
             await self._server.wait_closed()
             self._server = None
 
     # -- connection handling -------------------------------------------
+
+    def _on_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Start a connection's handler task and track it until done."""
+        task = asyncio.get_running_loop().create_task(
+            self._handle_connection(reader, writer)
+        )
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

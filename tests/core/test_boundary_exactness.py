@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.cellmap import CellMap
 from repro.core.classify import CoreModel
 from repro.core.distributed import DistributedEngine
 from repro.core.grid import MAX_ABS_CELL_COORD, Grid, cell_side_length
@@ -173,12 +172,6 @@ class TestEmptyClassify:
     )
     def test_core_model_classify_empty(self, model, empty):
         labels = model.classify(empty)
-        assert labels.shape == (0,)
-        assert labels.dtype == np.int64
-
-    def test_cell_map_classify_empty(self):
-        cell_map = CellMap(2)
-        labels = cell_map.classify(np.zeros((0, 2)), {}, 1.0)
         assert labels.shape == (0,)
         assert labels.dtype == np.int64
 

@@ -19,7 +19,6 @@ import pytest
 from repro import DBSCOUT, CoreModel, classify
 from repro.core import vectorized
 from repro.core.cellindex import CellIndex
-from repro.core.cellmap import CellMap
 from repro.core.neighbors import NeighborStencil
 from repro.exceptions import DataValidationError, NotFittedError
 
@@ -305,7 +304,7 @@ def test_probe_budget_does_not_change_results(rng, monkeypatch, kernel):
 
 def test_classify_builds_no_index(rng, monkeypatch):
     # The cell index is built once per model (fit, artifact load,
-    # snapshot export, subsample), never per query.
+    # snapshot export), never per query.
     points = _dataset(rng, 2)
     detector = DBSCOUT(eps=0.8, min_pts=10)
     detector.fit(points)
@@ -321,26 +320,6 @@ def test_classify_builds_no_index(rng, monkeypatch):
     for start in range(0, points.shape[0], 8):
         model.classify(points[start : start + 8])
     assert built == []
-    smaller = model.subsample(0.5)
-    assert len(built) == 1 and smaller._index is built[0]
-
-
-def test_cellmap_classify_matches_distributed_fit(rng):
-    points = _dataset(rng, 2)
-    detector = DBSCOUT(eps=0.8, min_pts=10, engine="distributed")
-    result = detector.fit(points)
-    model = detector.core_model_
-    cellmap = CellMap(n_dims=2)
-    for cell in model.core_cells:
-        cellmap.mark_core(tuple(cell))
-    core_by_cell = {
-        tuple(cell): model.core_points[
-            model.core_starts[i] : model.core_starts[i + 1]
-        ]
-        for i, cell in enumerate(model.core_cells)
-    }
-    labels = cellmap.classify(points, core_by_cell, eps=0.8)
-    np.testing.assert_array_equal(labels, result.labels())
 
 
 def test_classify_single_and_empty_query(rng):

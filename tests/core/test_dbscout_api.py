@@ -59,6 +59,21 @@ class TestConstruction:
             DBSCOUT(eps=1.0, min_pts=5, zeta=1, alpha=2)
         assert "alpha, zeta" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"quality": "fast"},
+            {"sample_fraction": 0.5},
+            {"seed": 0},
+        ],
+        ids=["quality", "sample_fraction", "seed"],
+    )
+    def test_removed_quality_options_rejected(self, option):
+        # Fits are exact only; the approximate tier's options are gone.
+        (name,) = option
+        with pytest.raises(ParameterError, match=name):
+            DBSCOUT(eps=1.0, min_pts=5, **option)
+
     def test_n_jobs_reported_in_stats(self, clustered_2d):
         result = DBSCOUT(eps=0.5, min_pts=10, n_jobs=2).fit(clustered_2d)
         assert result.stats["n_jobs"] == 2

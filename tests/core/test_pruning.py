@@ -24,6 +24,7 @@ from repro.core.vectorized import (
     _cell_bounds,
     _classify_cell_pairs,
     _masked_cell_bounds,
+    _masked_cell_counts,
 )
 from repro.core.grid import Grid
 from repro.exceptions import ParameterError
@@ -308,8 +309,14 @@ class TestClassification:
         grid = Grid(points, eps=1.0)
         mask = np.zeros(points.shape[0], dtype=bool)
         mask[::3] = True
-        lo, hi = _masked_cell_bounds(grid, mask)
-        for i in range(grid.n_cells):
+        mask[grid.cell_members(0)] = True  # wholly masked
+        mask[grid.cell_members(1)] = False  # no masked member
+        bounds = _cell_bounds(grid)
+        counts = _masked_cell_counts(grid, mask)
+        # A subset of the cells: only these rows are boxed.
+        cells = np.concatenate(([0, 1], np.arange(3, grid.n_cells, 2)))
+        lo, hi = _masked_cell_bounds(grid, mask, counts, cells, bounds)
+        for i in cells:
             members = grid.cell_members(i)
             masked = members[mask[members]]
             if masked.shape[0] == 0:
@@ -317,3 +324,9 @@ class TestClassification:
             else:
                 assert np.array_equal(lo[i], points[masked].min(axis=0))
                 assert np.array_equal(hi[i], points[masked].max(axis=0))
+        assert np.array_equal(lo[0], bounds[0][0])
+        assert np.array_equal(hi[0], bounds[1][0])
+        # Wholly masked cells alone reuse the unmasked boxes as they are.
+        whole = np.flatnonzero(counts == grid.counts)
+        assert whole.size
+        assert _masked_cell_bounds(grid, mask, counts, whole, bounds) is bounds

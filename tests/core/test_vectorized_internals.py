@@ -83,8 +83,8 @@ class TestGatherAndCount:
         adjacency = _CellAdjacency(grid, stencil)
         work = np.arange(grid.n_cells)
         members, m_sizes, cands, c_sizes, _, _ = _plan_cell_jobs(
-            grid, adjacency, work, None, None, bounds=None, eps_sq=0.0,
-            counters={},
+            grid, work, adjacency.rows(work), None, None, bounds=None,
+            eps_sq=0.0, counters={},
         )
         counters = {"distance_computations": 0}
         counts = _segmented_pair_counts(
@@ -118,8 +118,8 @@ class TestGatherAndCount:
         adjacency = _CellAdjacency(grid, stencil)
         work = np.arange(grid.n_cells)
         members, m_sizes, cands, c_sizes, _, _ = _plan_cell_jobs(
-            grid, adjacency, work, None, None, bounds=None, eps_sq=0.0,
-            counters={},
+            grid, work, adjacency.rows(work), None, None, bounds=None,
+            eps_sq=0.0, counters={},
         )
         counters = {"distance_computations": 0}
         small = _segmented_pair_counts(
@@ -150,8 +150,8 @@ class TestGatherAndCount:
         work = np.flatnonzero(~cell_is_core)
         members, m_sizes, cands, c_sizes, _, _ = _plan_cell_jobs(
             grid,
-            adjacency,
             work,
+            adjacency.rows(work),
             candidate_cell_mask=cell_is_core,
             candidate_point_mask=result.core_mask,
             bounds=None,
@@ -167,9 +167,10 @@ class TestGatherAndCount:
         grid = Grid(clustered_2d, 0.8)
         stencil = NeighborStencil(2)
         adjacency = _CellAdjacency(grid, stencil)
+        work = np.empty(0, dtype=np.int64)
         members, m_sizes, cands, c_sizes, _, _ = _plan_cell_jobs(
-            grid, adjacency, np.empty(0, dtype=np.int64), None, None,
-            bounds=None, eps_sq=0.0, counters={},
+            grid, work, adjacency.rows(work), None, None, bounds=None,
+            eps_sq=0.0, counters={},
         )
         assert members.size == 0 and cands.size == 0
         counters = {"distance_computations": 0}

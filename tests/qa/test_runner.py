@@ -125,7 +125,6 @@ def test_variant_matrix_covers_every_engine_family():
         "distributed",
         "incremental",
         "classify",
-        "cellmap",
     } <= families
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -154,6 +155,40 @@ def test_load_wrong_dtype_raises(fitted, tmp_path):
     )
     with pytest.raises(ArtifactError, match="dtype"):
         load_artifact(path)
+
+
+#: Artifacts saved by the release that still had the approximate tier:
+#: an exact fit, a fit with the balanced quality preset, and an exact model
+#: subsampled to half its core points (``_fixture_points``, eps 0.5,
+#: minPts 5).
+FIXTURES = pathlib.Path(__file__).parent / "data"
+
+
+def _fixture_points() -> np.ndarray:
+    rng = np.random.default_rng(2021)
+    return np.vstack(
+        [
+            rng.normal(0.0, 0.6, size=(150, 2)),
+            rng.uniform(-5.0, 5.0, size=(30, 2)),
+        ]
+    )[rng.permutation(180)]
+
+
+def test_saved_exact_artifact_loads_with_fit_labels():
+    loaded = load_artifact(FIXTURES / "artifact_exact.npz")
+    points = _fixture_points()
+    result = DBSCOUT(0.5, 5).fit(points)
+    assert loaded.metadata["quality"] == "exact"
+    np.testing.assert_array_equal(loaded.classify(points), result.labels())
+
+
+@pytest.mark.parametrize(
+    ("name", "option"),
+    [("balanced", "quality"), ("subsampled", "serving_sample_fraction")],
+)
+def test_saved_approximate_artifact_rejected(name, option):
+    with pytest.raises(ArtifactError, match=option):
+        load_artifact(FIXTURES / f"artifact_{name}.npz")
 
 
 def _tampered_save(detector, tmp_path, mutate):

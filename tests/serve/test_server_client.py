@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import socket
+import sys
 import threading
 
 import numpy as np
@@ -160,3 +162,50 @@ def test_concurrent_clients_share_batches(served):
     for thread in threads:
         thread.join(timeout=30)
     assert errors == []
+
+
+def test_aclose_ends_idle_connections(clustered_2d, monkeypatch):
+    # Closing the server must also end its connection handlers while
+    # the loop still runs: a handler left pending is destroyed after
+    # the loop closes, and its writer.close() then raises into
+    # sys.unraisablehook ("Event loop is closed").
+    detector = DBSCOUT(eps=0.8, min_pts=10)
+    detector.fit(clustered_2d)
+    service = OutlierService()
+    service.register("geo", detector.core_model_)
+    unraisable: list = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+
+    async def scenario():
+        server = await OutlierServer(service, port=0).start()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port
+        )
+        writer.write(b'{"op": "ping"}\n')
+        await writer.drain()
+        assert json.loads(await reader.readline())["ok"] is True
+        await server.aclose()
+        pending = [
+            task
+            for task in asyncio.all_tasks()
+            if task.get_coro().__qualname__.endswith("_handle_connection")
+            and not task.done()
+        ]
+        try:
+            tail = await asyncio.wait_for(reader.read(), timeout=2.0)
+        except asyncio.TimeoutError:
+            tail = None
+        writer.close()
+        await writer.wait_closed()
+        return pending, tail
+
+    loop = asyncio.new_event_loop()
+    try:
+        pending, tail = loop.run_until_complete(scenario())
+    finally:
+        loop.close()
+        service.close()
+    gc.collect()
+    assert pending == []
+    assert tail == b""  # the client reads EOF
+    assert unraisable == []

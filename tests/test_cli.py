@@ -105,6 +105,17 @@ class TestDetect:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_quality_flag_is_gone(self, points_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "detect", str(points_file), "--eps", "1.0",
+                    "--min-pts", "5", "--quality", "fast",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "--quality" in capsys.readouterr().err
+
 
 class TestEstimateEps:
     def test_prints_positive_float(self, points_file, capsys):
@@ -332,8 +343,12 @@ class TestQuery:
             assert code == 0
             assert out.read_text().split() == ["150", "151"]
         finally:
+            asyncio.run_coroutine_threadsafe(server.aclose(), loop).result(
+                timeout=10
+            )
             loop.call_soon_threadsafe(loop.stop)
             thread.join(timeout=10)
+            loop.close()
             service.close()
 
     def test_query_connection_refused_is_clean_error(
@@ -411,8 +426,12 @@ class TestStream:
             )
             assert labels.tolist() == [1, 0]
         finally:
+            asyncio.run_coroutine_threadsafe(server.aclose(), loop).result(
+                timeout=10
+            )
             loop.call_soon_threadsafe(loop.stop)
             thread.join(timeout=10)
+            loop.close()
             service.close()
 
     def test_stream_bad_connect_is_clean_error(self, points_file, capsys):
