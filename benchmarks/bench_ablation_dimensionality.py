@@ -80,7 +80,8 @@ def test_realized_work_grows_slower_than_kd():
 
 def run_planner(n_dims: int, cell_planner: str):
     points = dataset(n_dims)
-    engine = VectorizedEngine(kernel="numpy", cell_planner=cell_planner)
+    engine = VectorizedEngine(kernel="numpy")
+    engine._cell_planner = cell_planner
     start = time.perf_counter()
     result = engine.detect(points, eps_for(n_dims), 10)
     return time.perf_counter() - start, result

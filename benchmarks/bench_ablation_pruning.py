@@ -1,25 +1,20 @@
-"""Ablation A6 — per-round box tests and multi-core sharding.
+"""Ablation A6 — box tests, decided per round.
 
-Quantifies the two performance layers this repository adds on top of
-the paper's exact pipeline (see ``docs/architecture.md``):
-
-1. **Box tests, decided per round** (A6a) — bounding-box
-   covered/excluded classification of cell pairs plus covered-cell
-   settling.  Each round box-tests iff its non-self cell pairs hide at
-   least ``BOX_TEST_MIN_PAIR_DENSITY[kernel]`` point pairs each.  For
-   every round of every input the table times three variants — box
-   tests forced on, forced off, and the rule — and records the round's
-   pair density (``p / c``), the rule's pick, and whether the pick was
-   the faster forced side.  Labels are asserted equal across the three;
-   timings are reported, never asserted.  Inputs: the 200k geolife-like
-   fit, a 5-D mixture shaped like the benchmark's (five sigma=0.4
-   clusters in [-5, 5]^5 plus 5% scatter; eps 2, min_pts 60) and the
-   A5 dimensionality mixtures, each under both kernels.  The NumPy
-   mixture runs at 20k points: with box tests off its core round alone
-   takes ~17 s at 100k.  The whole bench takes ~30 s on a 2-CPU host.
-2. **Sharding** (A6b) — ``n_jobs`` in {1, 2, 4} over the shared-memory
-   process pool.  On a single-core container the pool cannot beat the
-   serial path; the table reports whatever the hardware gives.
+Quantifies the box-test layer this repository adds on top of the
+paper's exact pipeline (see ``docs/architecture.md``): bounding-box
+covered/excluded classification of cell pairs plus covered-cell
+settling.  Each round box-tests iff its non-self cell pairs hide at
+least ``BOX_TEST_MIN_PAIR_DENSITY[kernel]`` point pairs each.  For
+every round of every input the table (A6a) times three variants — box
+tests forced on, forced off, and the rule — and records the round's
+pair density (``p / c``), the rule's pick, and whether the pick was the
+faster forced side.  Labels are asserted equal across the three;
+timings are reported, never asserted.  Inputs: the 200k geolife-like
+fit, a 5-D mixture shaped like the benchmark's (five sigma=0.4
+clusters in [-5, 5]^5 plus 5% scatter; eps 2, min_pts 60) and the A5
+dimensionality mixtures, each under both kernels.  The NumPy mixture
+runs at 20k points: with box tests off its core round alone takes
+~17 s at 100k.  The whole bench takes ~30 s on a 2-CPU host.
 
 Exposes ``BENCH_STATS`` for ``run_all.py --json``.
 """
@@ -27,7 +22,6 @@ Exposes ``BENCH_STATS`` for ``run_all.py --json``.
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 
@@ -43,12 +37,9 @@ from bench_ablation_dimensionality import (
     eps_for as a5_eps_for,
 )
 
-#: The clustered Table-II-style workload: skewed GPS-like hotspots at
-#: the scale the multi-core criterion targets.
+#: The clustered Table-II-style workload: skewed GPS-like hotspots.
 N_POINTS = 200_000
 EPS = 100.0
-
-N_JOBS_SWEEP = (1, 2, 4)
 
 KERNELS = ("c", "numpy")
 ROUNDS = ("core_points", "outliers")
@@ -89,12 +80,6 @@ def _engine(box_tests: bool | None = None, **options) -> VectorizedEngine:
     engine = VectorizedEngine(**options)
     engine._box_tests = box_tests
     return engine
-
-
-def _timed_detect(engine: VectorizedEngine, points: np.ndarray):
-    start = time.perf_counter()
-    result = engine.detect(points, EPS, MIN_PTS)
-    return result, time.perf_counter() - start
 
 
 def test_pruning_parity_and_reduction():
@@ -205,56 +190,17 @@ def main() -> None:
     faster = sum(row["pick_faster"] for row in rows)
     print(f"rule picked the faster side in {faster} of {len(rows)} rounds\n")
 
-    points = dataset()
-    job_rows = []
-    wall_by_jobs = {}
-    reference = None
-    for n_jobs in N_JOBS_SWEEP:
-        engine = VectorizedEngine(n_jobs=n_jobs)
-        result, elapsed = _timed_detect(engine, points)
-        if reference is None:
-            reference = result
-        assert np.array_equal(result.outlier_mask, reference.outlier_mask)
-        assert np.array_equal(result.core_mask, reference.core_mask)
-        wall_by_jobs[n_jobs] = elapsed
-        job_rows.append(
-            [
-                n_jobs,
-                round(elapsed, 3),
-                round(wall_by_jobs[1] / elapsed, 2),
-                result.stats["distance_computations"],
-            ]
-        )
-    print(
-        format_table(
-            ["n_jobs", "wall (s)", "speedup", "distances"],
-            job_rows,
-            title=(
-                "Ablation A6b: shared-memory sharding "
-                f"({os.cpu_count() or 1} CPU(s) visible)"
-            ),
-        )
-    )
-
     BENCH_STATS.clear()
     BENCH_STATS.update(
         {
             "n_points": N_POINTS,
             "eps": EPS,
             "min_pts": MIN_PTS,
-            # Which distance kernel the sharding sweep ran (kernel="auto"
-            # resolves per machine) — captures are only comparable per
-            # kernel.
-            "kernel": reference.record.context["kernel"],
             "kernels_run": kernels_run,
             "box_test_min_pair_density": dict(BOX_TEST_MIN_PAIR_DENSITY),
             "rounds": rows,
             "rule_picked_faster": faster,
             "rounds_decided": len(rows),
-            "wall_seconds_by_n_jobs": {
-                str(k): round(v, 3) for k, v in wall_by_jobs.items()
-            },
-            "cpus_visible": os.cpu_count() or 1,
         }
     )
 

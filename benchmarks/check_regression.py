@@ -90,12 +90,10 @@ def run_signature(record: RunRecord) -> str:
     config_keys = (
         "engine",
         "algorithm",
-        "n_jobs",
         "join_strategy",
         "num_partitions",
         "kernel",
         "cell_planner",
-        "pair_budget",
         "seed",
     )
     config = {

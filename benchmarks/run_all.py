@@ -10,7 +10,7 @@ tables to stdout, and writes each module's captured output to
 sweeps).  With ``--json``, additionally writes one machine-readable
 ``<results-dir>/BENCH_<bench>.json`` per bench containing the wall time
 plus whatever the module published in its ``BENCH_STATS`` dict
-(distance-computation counters, per-``n_jobs`` timings, ...) and, under
+(distance-computation counters, per-round box-test timings, ...) and, under
 ``run_records``, the structured :mod:`repro.obs` run record of every
 detector fit the bench performed — the input
 ``benchmarks/check_regression.py`` compares between two runs.

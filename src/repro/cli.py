@@ -101,32 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="partitions for the distributed engine",
     )
     detect.add_argument(
-        "--n-jobs",
-        type=int,
-        default=1,
-        help="worker processes for the vectorized engine "
-        "(1 = serial, -1 = all cores; results are identical)",
-    )
-    detect.add_argument(
         "--kernel",
         choices=("auto", "numpy", "c"),
         default="auto",
         help="distance-kernel tier (auto picks the compiled C kernel "
         "when a compiler is available; labels are identical)",
-    )
-    detect.add_argument(
-        "--pair-budget",
-        type=int,
-        metavar="PAIRS",
-        help="kernel batch size in point pairs for the vectorized "
-        "engine (bounds peak memory; labels are identical)",
-    )
-    detect.add_argument(
-        "--cell-planner",
-        choices=("auto", "stencil", "tree"),
-        default="auto",
-        help="neighbor-cell adjacency builder for the vectorized "
-        "engine (auto uses the grid tree in high dimensions)",
     )
     detect.add_argument(
         "--output", help="write outlier indices here instead of stdout"
@@ -416,18 +395,9 @@ def _run_detect(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    engine_options = {"kernel": args.kernel}
     if args.engine == "distributed":
-        engine_options = {
-            "num_partitions": args.num_partitions,
-            "kernel": args.kernel,
-        }
-    else:
-        engine_options = {
-            "n_jobs": args.n_jobs,
-            "kernel": args.kernel,
-            "pair_budget": args.pair_budget,
-            "cell_planner": args.cell_planner,
-        }
+        engine_options["num_partitions"] = args.num_partitions
     detector = DBSCOUT(
         eps=eps,
         min_pts=args.min_pts,

@@ -51,15 +51,12 @@ class DBSCOUT:
         min_pts: Density threshold (positive integer).
         engine: ``"vectorized"`` or ``"distributed"``.
         **engine_options: Extra keyword arguments per engine.  The
-            vectorized engine accepts ``n_jobs`` (worker processes for
-            the distance kernel; ``1`` = serial, ``-1`` = all cores),
-            ``kernel`` (``"auto"``/``"numpy"``/``"c"`` distance-kernel
-            tier), ``pair_budget`` (kernel batch size in point pairs),
-            and ``cell_planner`` (``"auto"``/``"stencil"``/``"tree"``
-            neighbor-cell adjacency builder) — results are bit-identical
-            for every combination.  Whether a fit's rounds box-test
-            their cell pairs is not an option: each round decides from
-            its own pair density (see
+            vectorized engine accepts only ``kernel``
+            (``"auto"``/``"numpy"``/``"c"`` distance-kernel tier);
+            labels are bit-identical for every choice.  Whether a
+            fit's rounds box-test their cell pairs, and which planner
+            builds the cell adjacency, are not options: the engine
+            decides both (see
             :class:`~repro.core.vectorized.VectorizedEngine`).  The
             distributed engine accepts ``num_partitions``,
             ``max_workers``, ``join_strategy``, ``context``,
@@ -83,25 +80,15 @@ class DBSCOUT:
                 f"engine must be one of {_ENGINES}, got {engine!r}"
             )
         if engine == "vectorized":
-            n_jobs = engine_options.pop("n_jobs", 1)
             kernel = engine_options.pop("kernel", "auto")
-            pair_budget = engine_options.pop("pair_budget", None)
-            cell_planner = engine_options.pop("cell_planner", "auto")
             if engine_options:
                 raise ParameterError(
-                    "the vectorized engine accepts only the n_jobs, "
-                    "kernel, pair_budget, and cell_planner options; got "
-                    + ", ".join(sorted(engine_options))
+                    "the vectorized engine accepts only the kernel "
+                    "option; got " + ", ".join(sorted(engine_options))
                 )
-            # The engine's normalizers raise ParameterError for invalid
-            # n_jobs / kernel / pair_budget / cell_planner values.
+            # normalize_kernel raises ParameterError for invalid values.
             self._engine: VectorizedEngine | DistributedEngine = (
-                VectorizedEngine(
-                    n_jobs=n_jobs,
-                    kernel=kernel,
-                    pair_budget=pair_budget,
-                    cell_planner=cell_planner,
-                )
+                VectorizedEngine(kernel=kernel)
             )
         else:
             self._engine = DistributedEngine(**engine_options)

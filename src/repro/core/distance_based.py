@@ -10,14 +10,17 @@ related work:
     from ``p`` — equivalently, fewer than ``(1 - fraction) * n``
     points (self included) lie within ``radius``.
 
-The neighbor-counting core of DBSCOUT answers this directly: build the
-grid with ``eps = radius``, then
+That is DBSCOUT's core test: a DB(fraction, radius)-outlier is exactly
+a non-core point at ``eps = radius`` and ``min_pts = threshold(n)``.
+So the detector runs the vectorized engine's core round on a grid with
+``eps = radius``, where
 
 * any cell holding at least the threshold is entirely non-outlier
   (the Lemma 1 argument);
 * any cell whose neighborhood holds fewer than the threshold is
   entirely outlier (the pruning argument);
-* only the remaining cells need actual distance counting.
+* only the remaining cells need actual distance counting, under the
+  kernel contract's float rules.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ import math
 import numpy as np
 
 from repro.core.grid import Grid, validate_points
+from repro.core.kernels import resolve_kernel
 from repro.core.neighbors import NeighborStencil
-from repro.core.vectorized import _CellAdjacency
+from repro.core.vectorized import VectorizedEngine, _CellAdjacency
 from repro.exceptions import ParameterError
 from repro.obs import RunRecorder
 from repro.types import DetectionResult
@@ -70,7 +74,6 @@ class DistanceBasedDetector:
                 n_points=0, outlier_mask=np.zeros(0, dtype=bool)
             )
         threshold = self.threshold(n_points)
-        radius_sq = self.radius * self.radius
         recorder = RunRecorder(
             engine="distance_based",
             params={"radius": self.radius, "fraction": self.fraction},
@@ -81,37 +84,23 @@ class DistanceBasedDetector:
                 "threshold": threshold,
             },
         )
+        counters = {"distance_computations": 0, "pruned_cells": 0}
         with recorder.activate():
             with recorder.span("grid"):
                 grid = Grid(array, self.radius)
                 stencil = NeighborStencil(grid.n_dims)
                 adjacency = _CellAdjacency(grid, stencil)
 
-            outlier_mask = np.zeros(n_points, dtype=bool)
-            n_cells_counted = 0
             with recorder.span("outliers"):
-                for cell_index in range(grid.n_cells):
-                    members = grid.cell_members(cell_index)
-                    if int(grid.counts[cell_index]) >= threshold:
-                        continue  # whole cell is within radius of itself
-                    neighbor_cells = adjacency.neighbors(cell_index)
-                    if int(grid.counts[neighbor_cells].sum()) < threshold:
-                        # Cannot reach the threshold: entirely outlier.
-                        outlier_mask[members] = True
-                        continue
-                    n_cells_counted += 1
-                    candidates = np.concatenate(
-                        [grid.cell_members(nc) for nc in neighbor_cells]
-                    )
-                    diffs = (
-                        array[members][:, None, :]
-                        - array[candidates][None, :, :]
-                    )
-                    sq = np.einsum("ijk,ijk->ij", diffs, diffs)
-                    counts = (sq <= radius_sq).sum(axis=1)
-                    outlier_mask[members[counts < threshold]] = True
+                dense = grid.counts >= threshold
+                core = VectorizedEngine._find_core_points(
+                    array, grid, adjacency, dense, self.radius, threshold,
+                    counters, kernel=resolve_kernel("auto"),
+                )
+                outlier_mask = ~core
         recorder.add_context(
-            n_cells=grid.n_cells, cells_counted=n_cells_counted
+            n_cells=grid.n_cells,
+            cells_counted=int((~dense).sum()) - counters["pruned_cells"],
         )
         record = recorder.finish(n_points, n_dims=array.shape[1])
         return DetectionResult(

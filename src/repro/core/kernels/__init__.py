@@ -19,11 +19,7 @@ from __future__ import annotations
 
 import os
 
-from repro.core.kernels.base import (
-    DEFAULT_PAIR_BUDGET,
-    Kernel,
-    normalize_pair_budget,
-)
+from repro.core.kernels.base import DEFAULT_PAIR_BUDGET, Kernel
 from repro.core.kernels.c_kernel import (
     CKernel,
     c_kernel_status,
@@ -41,7 +37,6 @@ __all__ = [
     "c_kernel_status",
     "get_c_kernel",
     "normalize_kernel",
-    "normalize_pair_budget",
     "resolve_kernel",
 ]
 

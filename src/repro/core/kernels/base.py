@@ -26,7 +26,7 @@ bit-for-bit:
 :class:`Kernel` captures that contract behind two entry points:
 
 * :meth:`Kernel.segmented_pair_counts` — the engines' flat-batch hot
-  loop (``VectorizedEngine``, the ``n_jobs`` pool workers, and
+  loop (``VectorizedEngine``, ``IncrementalDBSCOUT`` and
   ``CoreModel.classify`` all feed it);
 * :meth:`Kernel.sq_dist` — the scalar form used by the distributed
   engine's record-at-a-time SparkLite tasks.
@@ -45,43 +45,13 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.exceptions import ParameterError
+__all__ = ["DEFAULT_PAIR_BUDGET", "Kernel"]
 
-__all__ = ["DEFAULT_PAIR_BUDGET", "Kernel", "normalize_pair_budget"]
-
-#: Default number of member x candidate point pairs a kernel batch may
-#: materialize at once.  Bounds the NumPy kernel's temporary arrays
-#: (~5 float64/int64 vectors of this length); the C kernel streams
-#: pair-at-a-time and ignores it.  Tunable per machine via
-#: ``DBSCOUT(pair_budget=...)`` / ``--pair-budget``.
+#: Number of member x candidate point pairs one NumPy kernel batch
+#: materializes at most.  Bounds its temporary arrays (~5
+#: float64/int64 vectors of this length); the C kernel streams
+#: pair-at-a-time and has no batches.
 DEFAULT_PAIR_BUDGET = 4_000_000
-
-
-def normalize_pair_budget(pair_budget: int | None) -> int:
-    """Validate a ``pair_budget`` option and resolve it to a batch size.
-
-    ``None`` means the default.  Positive integers are taken literally;
-    booleans, zero, negatives, and non-integers are rejected (the same
-    strictness as ``normalize_n_jobs``).
-
-    Raises:
-        ParameterError: If ``pair_budget`` is not a positive integer.
-    """
-    if pair_budget is None:
-        return DEFAULT_PAIR_BUDGET
-    if isinstance(pair_budget, bool) or not isinstance(
-        pair_budget, (int, np.integer)
-    ):
-        raise ParameterError(
-            f"pair_budget must be a positive integer or None, "
-            f"got {pair_budget!r}"
-        )
-    pair_budget = int(pair_budget)
-    if pair_budget < 1:
-        raise ParameterError(
-            f"pair_budget must be >= 1, got {pair_budget}"
-        )
-    return pair_budget
 
 
 class Kernel(ABC):
@@ -89,8 +59,7 @@ class Kernel(ABC):
 
     Attributes:
         name: Stable identifier (``"numpy"`` or ``"c"``) recorded in
-            run records and used by the process pool to re-resolve the
-            kernel inside workers.
+            run records.
     """
 
     name: str = "abstract"
@@ -105,7 +74,6 @@ class Kernel(ABC):
         c_sizes: np.ndarray,
         eps_sq: float,
         counters: dict[str, int],
-        pair_budget: int = DEFAULT_PAIR_BUDGET,
     ) -> np.ndarray:
         """Count, per member point, candidates within ``sqrt(eps_sq)``.
 
@@ -119,8 +87,6 @@ class Kernel(ABC):
             eps_sq: Squared radius threshold, compared inclusively.
             counters: Receives ``distance_computations`` increments
                 (the total number of member x candidate pairs tested).
-            pair_budget: Batch-size hint; results are identical for
-                every value.
 
         Returns:
             int64 counts aligned with ``members_flat``.

@@ -36,7 +36,7 @@ import tempfile
 
 import numpy as np
 
-from repro.core.kernels.base import DEFAULT_PAIR_BUDGET, Kernel
+from repro.core.kernels.base import Kernel
 from repro.exceptions import KernelBuildError
 
 __all__ = ["CKernel", "build_library", "c_kernel_status", "get_c_kernel"]
@@ -223,7 +223,6 @@ class CKernel(Kernel):
         c_sizes: np.ndarray,
         eps_sq: float,
         counters: dict[str, int],
-        pair_budget: int = DEFAULT_PAIR_BUDGET,
     ) -> np.ndarray:
         counts_out = np.zeros(members_flat.shape[0], dtype=np.int64)
         if m_sizes.shape[0] == 0 or members_flat.shape[0] == 0:

@@ -1,12 +1,13 @@
 """Pure-NumPy implementation of the pair-counting kernel contract.
 
-This is the original ``repro.core.vectorized._segmented_pair_counts``
-hot loop, extracted behind the :class:`~repro.core.kernels.base.Kernel`
-interface so the compiled tier can slot in beside it.  Cells are
-processed in batches of up to ``pair_budget`` point pairs with a
-handful of large vectorized operations (gather, fused squared
-distance, ``add.reduceat`` segment sums), avoiding per-cell Python
-overhead on sparse grids with many tiny cells.
+This is the vectorized engine's original hot loop, extracted behind
+the :class:`~repro.core.kernels.base.Kernel` interface so the compiled
+tier can slot in beside it.  Cells are processed in batches of up to
+``pair_budget`` point pairs (:class:`NumpyKernel` uses
+``DEFAULT_PAIR_BUDGET``) with a handful of large vectorized operations
+(gather, fused squared distance, ``add.reduceat`` segment sums),
+avoiding per-cell Python overhead on sparse grids with many tiny
+cells.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ def segmented_pair_counts(
 
     Inputs are the flat per-cell member/candidate arrays produced by
     the engines' cell planners.  A cell with zero candidates
-    contributes zero counts for all its members.
+    contributes zero counts for all its members.  ``pair_budget``
+    bounds the pairs of one batch; counts are identical for every
+    value, so tests pass small budgets to force many batches.
 
     Returns:
         Counts aligned with ``members_flat``.
@@ -113,9 +116,8 @@ class NumpyKernel(Kernel):
         c_sizes: np.ndarray,
         eps_sq: float,
         counters: dict[str, int],
-        pair_budget: int = DEFAULT_PAIR_BUDGET,
     ) -> np.ndarray:
         return segmented_pair_counts(
             array, members_flat, m_sizes, cands_flat, c_sizes, eps_sq,
-            counters, pair_budget=pair_budget,
+            counters,
         )

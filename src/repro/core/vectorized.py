@@ -15,9 +15,12 @@ outlier iff **every** core point is strictly farther than ``eps``
 The engine also applies the paper's "grouping before joining" pruning
 (Section III-G2): a point in a non-dense cell is only distance-checked
 when the combined population of its neighboring cells reaches
-``min_pts``, and coverage checks stop at the first core point found.
+``min_pts``.  The kernel counts every candidate of each member it is
+given; what stops early is a whole work cell, settled before the kernel
+when box tests (below) show one covered core candidate in the outlier
+round, or covered populations reaching ``min_pts`` in the core round.
 
-Two further performance layers sit on top of the exact pipeline (see
+Further performance layers sit on top of the exact pipeline (see
 ``docs/architecture.md``, "Performance layers"):
 
 * **Box tests, decided per round.**  A round may classify each
@@ -37,21 +40,16 @@ Two further performance layers sit on top of the exact pipeline (see
   hide at least ``BOX_TEST_MIN_PAIR_DENSITY[kernel]`` point pairs each
   on average, and the cell bounds are built at most once per fit, by
   the first round that box-tests.
-* **Multi-core sharding.**  With ``n_jobs > 1`` the per-cell segments
-  of the distance kernel are split into weight-balanced contiguous
-  shards and counted by a process pool over shared-memory views of
-  the point array (``repro.core.parallel``); per-member counts are
-  integers, so any shard layout reproduces the serial result exactly.
 * **Pluggable distance kernel.**  The hot loop itself is a
   :class:`repro.core.kernels.Kernel`: ``kernel="auto"`` (default)
   prefers the compiled C tier and falls back to the NumPy reference
   when no compiler is available.  Both implement the identical float
   contract, so labels are bit-identical either way.
-* **Grid-tree cell planner.**  ``cell_planner="tree"`` (the ``"auto"``
-  choice at d >= 5) builds the neighbor-cell adjacency by searching a
-  k-d-style tree over the non-empty cells (``repro.core.celltree``)
-  instead of range-probing the cell index once per last-axis run of
-  the offset stencil per cell; same adjacency set, so labels are again
+* **Grid-tree cell planner.**  At d >= ``TREE_PLANNER_MIN_DIMS`` the
+  engine builds the neighbor-cell adjacency by searching a k-d-style
+  tree over the non-empty cells (``repro.core.celltree``) instead of
+  range-probing the cell index once per last-axis run of the offset
+  stencil per cell; same adjacency set, so labels are again
   bit-identical.
 """
 
@@ -64,19 +62,9 @@ import numpy as np
 from repro.core.cellindex import CellIndex, _flat_ranges
 from repro.core.celltree import build_tree_adjacency
 from repro.core.grid import Grid, validate_points
-from repro.core.kernels import (
-    Kernel,
-    normalize_kernel,
-    normalize_pair_budget,
-    resolve_kernel,
-)
-from repro.core.kernels.numpy_kernel import (
-    segmented_pair_counts as _segmented_pair_counts,
-)
+from repro.core.kernels import Kernel, normalize_kernel, resolve_kernel
 from repro.core.neighbors import NeighborStencil
-from repro.core.parallel import normalize_n_jobs, run_sharded_pair_counts
 from repro.core.validation import validate_parameters
-from repro.exceptions import ParameterError
 from repro.obs import RunRecorder
 from repro.types import DetectionResult
 
@@ -84,13 +72,9 @@ __all__ = [
     "VectorizedEngine",
     "detect",
     "build_cell_adjacency",
-    "normalize_cell_planner",
 ]
 
-#: Accepted values for the ``cell_planner`` engine option.
-CELL_PLANNER_NAMES = ("auto", "stencil", "tree")
-
-#: ``cell_planner="auto"`` switches to the grid-tree at this
+#: The engine builds its adjacency with the grid-tree at this
 #: dimensionality.  Range probes cost one pair of searches per
 #: last-axis run of the stencil: 179 runs per cell at d = 4 still beat
 #: the tree search (~2-2.5x on the A5 and mixture inputs), while the
@@ -104,12 +88,6 @@ TREE_PLANNER_MIN_DIMS = 5
 #: about what a box test spends per cell pair, so it needs denser
 #: pairs before the tests pay (EXPERIMENTS.md, A6).
 BOX_TEST_MIN_PAIR_DENSITY = {"c": 32, "numpy": 4}
-
-#: Below this many member/candidate pairs the process-pool dispatch
-#: overhead exceeds the arithmetic; the engine stays serial even when
-#: ``n_jobs > 1``.  Tests monkeypatch this to force the pool on tiny
-#: inputs.
-MIN_PAIRS_FOR_POOL = 200_000
 
 #: Stencil probes (adjacency and ``CoreModel.classify``) run in blocks
 #: of ``budget // k_d`` query cells, so a block's run keys, positions
@@ -144,26 +122,6 @@ def build_cell_adjacency(
     sources, targets = index.probe(index.cells, _ADJACENCY_PROBE_BUDGET)
     counts = np.bincount(sources, minlength=n_cells)
     return targets, np.concatenate(([0], np.cumsum(counts)))
-
-
-def normalize_cell_planner(cell_planner: str | None) -> str:
-    """Validate a ``cell_planner`` option (``None`` means ``"auto"``).
-
-    Raises:
-        ParameterError: If the value is not one of
-            ``"auto"``, ``"stencil"``, ``"tree"``.
-    """
-    if cell_planner is None:
-        return "auto"
-    if (
-        not isinstance(cell_planner, str)
-        or cell_planner not in CELL_PLANNER_NAMES
-    ):
-        raise ParameterError(
-            f"cell_planner must be one of {', '.join(CELL_PLANNER_NAMES)}, "
-            f"got {cell_planner!r}"
-        )
-    return cell_planner
 
 
 class _CellAdjacency:
@@ -387,8 +345,8 @@ def _classify_cell_pairs(
     For each pair, accumulate the squared min and max distances between
     the two cells' point bounding boxes **with the same per-dimension
     operation order as the distance kernel** (``acc += delta * delta``).
-    Because float rounding is monotone, every actual pair distance in
-    ``_segmented_pair_counts`` then satisfies
+    Because float rounding is monotone, every actual pair distance the
+    kernel computes then satisfies
     ``min_sq <= sq <= max_sq`` at the float level, so:
 
     * ``max_sq <= eps_sq`` (covered) implies every member/candidate
@@ -581,68 +539,25 @@ def _plan_cell_jobs(
     return members_flat, m_sizes, cands_flat, c_sizes, base_counts, settled
 
 
-def _pair_counts(
-    array: np.ndarray,
-    members_flat: np.ndarray,
-    m_sizes: np.ndarray,
-    cands_flat: np.ndarray,
-    c_sizes: np.ndarray,
-    eps_sq: float,
-    counters: dict[str, int],
-    n_jobs: int,
-    kernel: Kernel,
-    pair_budget: int,
-) -> np.ndarray:
-    """Serial or sharded dispatch around ``kernel.segmented_pair_counts``.
-
-    The hot loop lives in :mod:`repro.core.kernels`
-    (``_segmented_pair_counts`` is the module-level NumPy form, kept
-    importable here for the pool workers and ``CoreModel.classify``).
-    """
-    if n_jobs > 1 and m_sizes.shape[0] > 1:
-        total_pairs = int((m_sizes * c_sizes).sum())
-        if total_pairs >= MIN_PAIRS_FOR_POOL:
-            counts, n_distances = run_sharded_pair_counts(
-                array, members_flat, m_sizes, cands_flat, c_sizes, eps_sq,
-                n_jobs=n_jobs, pair_budget=pair_budget, counters=counters,
-                kernel=kernel.name,
-            )
-            _bump(counters, "distance_computations", n_distances)
-            return counts
-    return kernel.segmented_pair_counts(
-        array, members_flat, m_sizes, cands_flat, c_sizes, eps_sq, counters,
-        pair_budget=pair_budget,
-    )
-
-
 class VectorizedEngine:
     """Exact DBSCOUT on a single machine using NumPy bulk operations.
 
     Args:
-        n_jobs: Worker processes for the distance kernel.  ``1``
-            (default) runs fully serially — the exact legacy code
-            path; ``-1`` uses all cores.  Results are bit-identical
-            for every value.
         kernel: Distance-kernel tier: ``"auto"`` (default; compiled C
             when a compiler is available, else NumPy), ``"numpy"``,
             ``"c"``, or a :class:`~repro.core.kernels.Kernel`
             instance.  Labels are bit-identical for every choice; an
             unavailable C kernel falls back to NumPy with a
             ``kernel.fallback`` metric, never an error.
-        pair_budget: Maximum member x candidate pairs a kernel batch
-            may materialize (default 4,000,000); bounds the NumPy
-            kernel's temporary arrays.  Results are identical for
-            every value.
-        cell_planner: Neighbor-cell adjacency builder: ``"auto"``
-            (default; grid-tree search at d >= 5, stencil enumeration
-            below), ``"stencil"``, or ``"tree"``.  Identical labels
-            either way.
 
     Whether a round box-tests its cell pairs is decided per round from
     the plan's pair density and the resolved kernel
     (``BOX_TEST_MIN_PAIR_DENSITY``); the run record's context carries
     each round's ``box_tests.<round>`` and ``pair_density.<round>``.
-    Labels are identical either way.
+    The adjacency comes from the grid tree at d >=
+    ``TREE_PLANNER_MIN_DIMS`` and from stencil range probes below; the
+    context's ``cell_planner`` names the planner that ran.  Labels are
+    identical either way.
     """
 
     name = "vectorized"
@@ -652,24 +567,18 @@ class VectorizedEngine:
     #: applies the per-round rule.
     _box_tests: bool | None = None
 
-    def __init__(
-        self,
-        n_jobs: int | None = 1,
-        kernel: str | Kernel | None = "auto",
-        pair_budget: int | None = None,
-        cell_planner: str | None = "auto",
-    ) -> None:
-        self.n_jobs = normalize_n_jobs(n_jobs)
+    #: Pins the adjacency planner (``"stencil"`` or ``"tree"``) for
+    #: parity tests, the fuzzer's variants and ablations; ``None``
+    #: applies the ``TREE_PLANNER_MIN_DIMS`` rule.
+    _cell_planner: str | None = None
+
+    def __init__(self, kernel: str | Kernel | None = "auto") -> None:
         self.kernel = normalize_kernel(kernel)
-        self.pair_budget = normalize_pair_budget(pair_budget)
-        self.cell_planner = normalize_cell_planner(cell_planner)
 
     def _resolve_planner(self, n_dims: int) -> str:
-        if self.cell_planner == "auto":
-            return (
-                "tree" if n_dims >= TREE_PLANNER_MIN_DIMS else "stencil"
-            )
-        return self.cell_planner
+        if self._cell_planner is not None:
+            return self._cell_planner
+        return "tree" if n_dims >= TREE_PLANNER_MIN_DIMS else "stencil"
 
     def detect(
         self, points: np.ndarray, eps: float, min_pts: int
@@ -700,9 +609,7 @@ class VectorizedEngine:
             params={"eps": eps, "min_pts": min_pts},
             context={
                 "engine": self.name,
-                "n_jobs": self.n_jobs,
                 "kernel": kernel.name,
-                "pair_budget": self.pair_budget,
                 "cell_planner": planner,
             },
         )
@@ -725,8 +632,7 @@ class VectorizedEngine:
                 core_mask = self._find_core_points(
                     array, grid, adjacency, dense_cells, eps, min_pts,
                     counters, bounds=box_tests.round("core_points"),
-                    n_jobs=self.n_jobs,
-                    kernel=kernel, pair_budget=self.pair_budget,
+                    kernel=kernel,
                 )
 
             with recorder.span("core_cell_map"):
@@ -738,8 +644,7 @@ class VectorizedEngine:
                 outlier_mask = self._find_outliers(
                     array, grid, adjacency, cell_is_core, core_mask, eps,
                     counters, bounds=box_tests.round("outliers"),
-                    n_jobs=self.n_jobs, kernel=kernel,
-                    pair_budget=self.pair_budget,
+                    kernel=kernel,
                 )
 
         recorder.metrics.merge(counters, namespace="engine")
@@ -782,9 +687,7 @@ class VectorizedEngine:
         counters: dict[str, int],
         *,
         bounds: tuple[np.ndarray, np.ndarray] | Callable | None = None,
-        n_jobs: int = 1,
         kernel: Kernel | None = None,
-        pair_budget: int | None = None,
         work_cells: np.ndarray | None = None,
     ) -> np.ndarray:
         """Core-point identification (Algorithm 3, both branches).
@@ -796,7 +699,6 @@ class VectorizedEngine:
         ``None`` for no box tests.
         """
         kernel = kernel if kernel is not None else resolve_kernel("numpy")
-        pair_budget = normalize_pair_budget(pair_budget)
         eps_sq = eps * eps
         core_mask = np.zeros(grid.n_points, dtype=bool)
         core_mask[dense_cells[grid.point_cell]] = True  # Lemma 1 shortcut
@@ -827,9 +729,9 @@ class VectorizedEngine:
                 eps_sq, counters, settle_threshold=min_pts, seed_self=True,
             )
         )
-        counts = _pair_counts(
+        counts = kernel.segmented_pair_counts(
             array, members_flat, m_sizes, cands_flat, c_sizes, eps_sq,
-            counters, n_jobs, kernel, pair_budget,
+            counters,
         )
         counts = counts + np.repeat(base_counts, m_sizes)
         core_mask[members_flat[counts >= min_pts]] = True
@@ -855,9 +757,7 @@ class VectorizedEngine:
         counters: dict[str, int],
         *,
         bounds: tuple[np.ndarray, np.ndarray] | Callable | None = None,
-        n_jobs: int = 1,
         kernel: Kernel | None = None,
-        pair_budget: int | None = None,
         work_cells: np.ndarray | None = None,
     ) -> np.ndarray:
         """Outlier identification (Algorithm 5, both branches).
@@ -867,7 +767,6 @@ class VectorizedEngine:
         ``bounds`` is as in :meth:`_find_core_points`.
         """
         kernel = kernel if kernel is not None else resolve_kernel("numpy")
-        pair_budget = normalize_pair_budget(pair_budget)
         eps_sq = eps * eps
         outlier_mask = np.zeros(grid.n_points, dtype=bool)
         if work_cells is None:
@@ -893,9 +792,9 @@ class VectorizedEngine:
                 seed_self=True,
             )
         )
-        counts = _pair_counts(
+        counts = kernel.segmented_pair_counts(
             array, members_flat, m_sizes, cands_flat, c_sizes, eps_sq,
-            counters, n_jobs, kernel, pair_budget,
+            counters,
         )
         counts = counts + np.repeat(base_counts, m_sizes)
         outlier_mask[members_flat[counts == 0]] = True
@@ -906,10 +805,7 @@ def detect(
     points: np.ndarray,
     eps: float,
     min_pts: int,
-    n_jobs: int | None = 1,
     kernel: str | Kernel | None = "auto",
 ) -> DetectionResult:
     """Convenience wrapper: run the vectorized engine on ``points``."""
-    return VectorizedEngine(n_jobs=n_jobs, kernel=kernel).detect(
-        points, eps, min_pts
-    )
+    return VectorizedEngine(kernel=kernel).detect(points, eps, min_pts)

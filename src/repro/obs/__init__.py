@@ -7,9 +7,9 @@ reproduction's equivalent, shared by both engines and every extension:
 * :mod:`repro.obs.trace` — nestable, thread/process-aware span tracer
   with a zero-overhead no-op mode for fine-grained instrumentation;
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, one namespaced
-  counter schema over the vectorized engine's pruning counters,
-  SparkLite's :class:`~repro.sparklite.EngineMetrics`, and the
-  process-pool stats;
+  counter schema over the vectorized engine's pruning counters, the
+  kernel tier's facts and SparkLite's
+  :class:`~repro.sparklite.EngineMetrics`;
 * :mod:`repro.obs.memory` — peak-RSS and optional ``tracemalloc``
   accounting;
 * :mod:`repro.obs.record` — the structured run record (one JSON

@@ -1,15 +1,14 @@
 """Namespaced counter registry unifying every engine's statistics.
 
 Counters from the vectorized engine (pruning/distance budgets), the
-SparkLite substrate (shuffle/task counts), and the process pool all
-land in one :class:`MetricsRegistry` under dotted names:
+kernel tier and the SparkLite substrate (shuffle/task counts) all land
+in one :class:`MetricsRegistry` under dotted names:
 
 * ``engine.*`` — per-run detector counters
   (``engine.distance_computations``, ``engine.pruned_cells``, ...);
+* ``kernel.*`` — kernel-tier facts (``kernel.fallback``);
 * ``sparklite.*`` — substrate counters for the run
-  (``sparklite.records_shuffled``, ``sparklite.tasks_executed``, ...);
-* ``pool.*`` — multi-core sharding stats (``pool.dispatches``,
-  ``pool.shards``).
+  (``sparklite.records_shuffled``, ``sparklite.tasks_executed``, ...).
 
 The registry is thread-safe and stores plain Python ints/floats only,
 so a snapshot is always ``json.dumps``-able.
@@ -92,7 +91,7 @@ class MetricsRegistry:
         """Accumulate a counter mapping into the registry.
 
         Keys that already contain a dot are taken as fully qualified
-        (e.g. a ``pool.shards`` entry inside an engine counter dict);
+        (e.g. a ``kernel.fallback`` entry inside an engine counter dict);
         bare keys get the ``namespace`` prefix.
         """
         for key, value in counters.items():

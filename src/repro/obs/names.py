@@ -64,13 +64,6 @@ FAMILIES: dict[str, tuple[str, str]] = {
         "counter", "grid-tree subtrees pruned by bounding-box distance"),
     "tree.leaf_cell_tests": (
         "counter", "leaf cells distance-tested by grid-tree queries"),
-    # -- pool.* : multi-core sharding ----------------------------------
-    "pool.dispatches": (
-        "counter", "shard batches dispatched to the process pool"),
-    "pool.shards": (
-        "counter", "shards executed by pool workers"),
-    "pool.shared_bytes": (
-        "counter", "bytes placed in shared memory for pool workers"),
     # -- sparklite.* : substrate counters ------------------------------
     "sparklite.tasks_executed": (
         "counter", "partition-level tasks computed"),

@@ -79,9 +79,9 @@ class RunRecord:
         spans: Closed span dicts (see
             :meth:`repro.obs.trace.SpanRecord.to_dict`).
         counters: Namespaced counter snapshot (``engine.*``,
-            ``sparklite.*``, ``pool.*``).
+            ``kernel.*``, ``sparklite.*``, ...).
         context: Engine configuration and derived structure facts
-            (``n_jobs``, ``join_strategy``, ``n_cells``, ...).
+            (``kernel``, ``join_strategy``, ``n_cells``, ...).
         memory: Memory facts (``peak_rss_bytes``, optional
             ``tracemalloc_*`` when profiling).
         versions: Library versions (python/numpy/repro).
@@ -123,7 +123,7 @@ class RunRecord:
 
         Strips the ``engine.`` and ``sparklite.`` counter namespaces
         (their bare names are the long-standing stats keys) and keeps
-        other namespaces (``pool.*``) fully qualified; configuration
+        other namespaces (``kernel.*``) fully qualified; configuration
         context is merged in alongside.
         """
         out: dict[str, Any] = dict(self.context)

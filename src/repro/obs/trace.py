@@ -14,7 +14,7 @@ Two usage tiers share this module:
   the cost is negligible — and become the run record's per-phase
   breakdown.
 * **Fine-grained library spans.**  Instrumentation points deep in the
-  substrate (SparkLite shuffle materialization, pool dispatch, ...)
+  substrate (SparkLite shuffle materialization, net dispatch, ...)
   call the module-level :func:`span` helper.  That helper is a strict
   no-op unless tracing has been switched on with
   :func:`enable_tracing` *and* a tracer is active (made current with
@@ -61,7 +61,7 @@ _ACTIVE_TRACERS: list["Tracer"] = []
 
 
 def enable_tracing() -> None:
-    """Turn on fine-grained library spans (sparklite, pool, ...)."""
+    """Turn on fine-grained library spans (sparklite, netexec, ...)."""
     global _TRACING
     _TRACING = True
 

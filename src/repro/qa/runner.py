@@ -5,7 +5,8 @@ vectorized (pruned and unpruned NumPy, compiled C kernel, grid-tree
 cell planner), distributed (all three join strategies), incremental
 (split insert and insert+remove churn) — plus out-of-sample
 classification (:meth:`repro.core.classify.CoreModel.classify` on the
-training points), and diffs the *full*
+training points) and the scored detector
+(:func:`repro.core.scoring.detect_with_scores`), and diffs the *full*
 core and outlier label vectors against
 :func:`repro.core.reference.brute_force_detect`.  Outlier counts are
 never compared alone: two engines can agree on the count while
@@ -33,6 +34,7 @@ from repro.core.classify import CoreModel
 from repro.core.distributed import DistributedEngine
 from repro.core.incremental import IncrementalDBSCOUT
 from repro.core.reference import brute_force_detect
+from repro.core.scoring import detect_with_scores
 from repro.core.vectorized import VectorizedEngine
 from repro.exceptions import ReproError
 from repro.obs import RunRecorder
@@ -94,10 +96,13 @@ def _masks(result: Any, n: int) -> _Outcome:
     )
 
 
-def _run_vectorized(box_tests: bool | None = None, **options):
+def _run_vectorized(
+    kernel: str, box_tests: bool | None = None, cell_planner: str = "stencil"
+):
     def run(points: np.ndarray, eps: float, min_pts: int) -> _Outcome:
-        engine = VectorizedEngine(**options)
+        engine = VectorizedEngine(kernel=kernel)
         engine._box_tests = box_tests
+        engine._cell_planner = cell_planner
         result = engine.detect(points, eps, min_pts)
         return _masks(result, points.shape[0])
 
@@ -201,6 +206,11 @@ def _run_incremental_live(
     return _masks(live.result(), n)
 
 
+def _run_scores(points: np.ndarray, eps: float, min_pts: int) -> _Outcome:
+    """The masks :func:`repro.core.scoring.detect_with_scores` returns."""
+    return _masks(detect_with_scores(points, eps, min_pts), points.shape[0])
+
+
 def _run_classify(points: np.ndarray, eps: float, min_pts: int) -> _Outcome:
     """CoreModel.classify over the training points themselves.
 
@@ -224,26 +234,20 @@ def _run_classify(points: np.ndarray, eps: float, min_pts: int) -> _Outcome:
 #: (``pruned``) or off (``unpruned``), ``vectorized_ckernel`` swaps in the
 #: compiled kernel (NumPy fallback without a compiler — still a valid
 #: differential run), and ``vectorized_tree`` swaps in the grid-tree
-#: cell planner.
+#: cell planner.  ``scores`` diffs the masks of
+#: :func:`repro.core.scoring.detect_with_scores`.
 _VARIANTS: dict[str, Callable[[np.ndarray, float, int], _Outcome]] = {
-    "vectorized_pruned": _run_vectorized(
-        box_tests=True, kernel="numpy", cell_planner="stencil"
-    ),
-    "vectorized_unpruned": _run_vectorized(
-        box_tests=False, kernel="numpy", cell_planner="stencil"
-    ),
-    "vectorized_ckernel": _run_vectorized(
-        kernel="c", cell_planner="stencil"
-    ),
-    "vectorized_tree": _run_vectorized(
-        kernel="numpy", cell_planner="tree"
-    ),
+    "vectorized_pruned": _run_vectorized("numpy", box_tests=True),
+    "vectorized_unpruned": _run_vectorized("numpy", box_tests=False),
+    "vectorized_ckernel": _run_vectorized("c"),
+    "vectorized_tree": _run_vectorized("numpy", cell_planner="tree"),
     "distributed_group": _run_distributed("group"),
     "distributed_plain": _run_distributed("plain"),
     "distributed_broadcast": _run_distributed("broadcast"),
     "incremental_split": _run_incremental_split,
     "incremental_churn": _run_incremental_churn,
     "classify": _run_classify,
+    "scores": _run_scores,
 }
 
 #: Default matrix: every in-process variant.

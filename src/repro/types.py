@@ -107,7 +107,8 @@ class DetectionResult:
               box-tested their cell pairs, and the member x candidate
               point pairs per non-self cell pair that decided it (the
               four counters above stay zero when no round box-tests);
-            * ``n_jobs`` / ``kernel`` — the engine options in effect.
+            * ``kernel`` / ``cell_planner`` — the distance kernel and
+              the adjacency planner that ran.
     """
 
     n_points: int

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.distance_based import DistanceBasedDetector
+from repro.core.reference import brute_force_core_mask
 from repro.exceptions import ParameterError
+from repro.qa.generators import generate_dataset
 
 
 def brute_force_db_outliers(
@@ -34,6 +36,22 @@ class TestAgainstBruteForce:
         detector = DistanceBasedDetector(radius=2.0, fraction=0.95)
         result = detector.detect(clustered_3d)
         expected = brute_force_db_outliers(clustered_3d, 2.0, 0.95)
+        assert np.array_equal(result.outlier_mask, expected)
+
+    @pytest.mark.parametrize("seed", [652, 1828])
+    def test_non_core_points_on_boundary_lattices(self, seed):
+        # A DB(fraction, radius)-outlier is a non-core point at
+        # eps = radius and min_pts = threshold(n); these lattices hold
+        # pairs whose squared distance sits on eps squared.
+        dataset = generate_dataset(seed)
+        n = dataset.n_points
+        fraction = 1.0 - (dataset.min_pts - 0.5) / n
+        detector = DistanceBasedDetector(radius=dataset.eps, fraction=fraction)
+        assert detector.threshold(n) == dataset.min_pts
+        expected = ~brute_force_core_mask(
+            dataset.points, dataset.eps, dataset.min_pts
+        )
+        result = detector.detect(dataset.points)
         assert np.array_equal(result.outlier_mask, expected)
 
     def test_finds_isolated_point(self, rng):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.reference import brute_force_core_mask
+from repro.core.reference import brute_force_core_mask, brute_force_detect
 from repro.core.scoring import detect_with_scores, nearest_core_distance
 from repro.core.vectorized import detect
+from repro.qa.generators import generate_dataset
 
 
 def brute_scores(points, eps, min_pts):
@@ -80,6 +81,21 @@ class TestDetectWithScores:
         )
         assert np.array_equal(with_scores.core_mask, plain.core_mask)
         assert with_scores.scores is not None
+
+    @pytest.mark.parametrize("seed", [236, 2075, 2454, 2914, 2978])
+    def test_matches_oracle_when_score_rounds_onto_eps(self, seed):
+        # Boundary lattices where a point's nearest core point lies one
+        # ulp beyond eps squared: sqrt rounds its score to exactly eps,
+        # so ``scores > eps`` would call the outlier an inlier.
+        dataset = generate_dataset(seed)
+        result = detect_with_scores(
+            dataset.points, dataset.eps, dataset.min_pts
+        )
+        oracle = brute_force_detect(
+            dataset.points, dataset.eps, dataset.min_pts
+        )
+        assert np.array_equal(result.outlier_mask, oracle.outlier_mask)
+        assert np.array_equal(result.core_mask, oracle.core_mask)
 
 
 coords = st.integers(min_value=-200, max_value=200).map(lambda k: k / 8.0)

@@ -1,18 +1,19 @@
 """Unit tests for the vectorized engine's flat-batch helpers."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.grid import Grid
+from repro.core.kernels.numpy_kernel import (
+    segmented_pair_counts as _segmented_pair_counts,
+)
 from repro.core.neighbors import NeighborStencil
 from repro.core.vectorized import (
     _CellAdjacency,
     _flat_ranges,
     _plan_cell_jobs,
     _segment_sums,
-    _segmented_pair_counts,
 )
 
 

@@ -16,7 +16,7 @@ def _finished_record() -> obs.RunRecord:
     recorder = obs.RunRecorder(
         engine="vectorized",
         params={"eps": 0.5, "min_pts": np.int64(10)},
-        context={"engine": "vectorized", "n_jobs": 1},
+        context={"engine": "vectorized", "kernel": "numpy"},
     )
     with recorder.span("grid"):
         pass
@@ -24,7 +24,7 @@ def _finished_record() -> obs.RunRecord:
         with recorder.tracer.span("nested"):
             pass
     recorder.metrics.merge(
-        {"distance_computations": np.int64(123), "pool.shards": 2},
+        {"distance_computations": np.int64(123), "kernel.fallback": 2},
         namespace="engine",
     )
     recorder.add_context(n_cells=7)
@@ -64,7 +64,7 @@ def test_record_schema_contents():
     # Namespacing: plain keys get the namespace, dotted keys pass
     # through untouched.
     assert payload["counters"]["engine.distance_computations"] == 123
-    assert payload["counters"]["pool.shards"] == 2
+    assert payload["counters"]["kernel.fallback"] == 2
     assert payload["memory"].get("peak_rss_bytes", 0) > 0
 
 
@@ -72,8 +72,8 @@ def test_flat_stats_strips_engine_namespace_only():
     record = _finished_record()
     stats = record.flat_stats()
     assert stats["distance_computations"] == 123
-    assert stats["pool.shards"] == 2
-    assert stats["n_jobs"] == 1
+    assert stats["kernel.fallback"] == 2
+    assert stats["kernel"] == "numpy"
     assert stats["n_cells"] == 7
     assert "engine.distance_computations" not in stats
 
@@ -122,13 +122,15 @@ def test_recording_scopes_the_sink():
 def test_metrics_registry_namespacing_and_merge():
     registry = obs.MetricsRegistry()
     registry.increment("engine.distance_computations", 5)
-    registry.merge({"pruned_cells": 3, "pool.shards": 4}, namespace="engine")
+    registry.merge(
+        {"pruned_cells": 3, "kernel.fallback": 4}, namespace="engine"
+    )
     registry.set("sparklite.tasks_executed", 9)
     snapshot = registry.snapshot()
     assert snapshot == {
         "engine.distance_computations": 5,
         "engine.pruned_cells": 3,
-        "pool.shards": 4,
+        "kernel.fallback": 4,
         "sparklite.tasks_executed": 9,
     }
     assert registry.namespace("engine") == {

@@ -62,4 +62,5 @@ def test_known_bug_witnesses_are_present():
         "quotient_collapse_rejected",
         "same_cell_corner_ulp",
         "kernel_accumulation_order",
+        "seed236_boundary_lattice_scores",
     } <= names

@@ -116,6 +116,26 @@ class TestDetect:
         assert excinfo.value.code == 2
         assert "--quality" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--n-jobs", "2"],
+            ["--pair-budget", "10"],
+            ["--cell-planner", "tree"],
+        ],
+        ids=["n-jobs", "pair-budget", "cell-planner"],
+    )
+    def test_removed_speed_flags_are_gone(self, points_file, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "detect", str(points_file), "--eps", "1.0",
+                    "--min-pts", "5", *flag,
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
 
 class TestEstimateEps:
     def test_prints_positive_float(self, points_file, capsys):

@@ -34,24 +34,16 @@ def test_million_points_under_a_minute():
 
 
 @pytest.mark.slow
-def test_multicore_sharding_parity_at_scale():
-    # 200k points is far above MIN_PAIRS_FOR_POOL, so n_jobs=2 really
-    # exercises the shared-memory process pool — and must be
-    # bit-identical to the serial engine and to the distributed engine.
+def test_serial_distributed_parity_at_scale():
+    # At 200k points the single-process vectorized engine and the
+    # distributed engine must still agree bit-for-bit.
     points = make_openstreetmap_like(200_000, seed=3)
-    serial = DBSCOUT(eps=1.0e6, min_pts=10, n_jobs=1).fit(points)
-    pooled = DBSCOUT(eps=1.0e6, min_pts=10, n_jobs=2).fit(points)
-    assert pooled.stats["n_jobs"] == 2
-    assert np.array_equal(serial.outlier_mask, pooled.outlier_mask)
-    assert np.array_equal(serial.core_mask, pooled.core_mask)
-    assert (
-        serial.stats["distance_computations"]
-        == pooled.stats["distance_computations"]
-    )
+    serial = DBSCOUT(eps=1.0e6, min_pts=10).fit(points)
     distributed = DBSCOUT(
         eps=1.0e6, min_pts=10, engine="distributed", num_partitions=4
     ).fit(points)
-    assert np.array_equal(pooled.outlier_mask, distributed.outlier_mask)
+    assert np.array_equal(serial.outlier_mask, distributed.outlier_mask)
+    assert np.array_equal(serial.core_mask, distributed.core_mask)
 
 
 @pytest.mark.slow

@@ -39,10 +39,7 @@ def _incremental_detect(points):
 
 DETECTORS = {
     "vectorized-serial": lambda pts: DBSCOUT(
-        eps=0.8, min_pts=5, engine="vectorized", n_jobs=1
-    ).fit(pts),
-    "vectorized-sharded": lambda pts: DBSCOUT(
-        eps=0.8, min_pts=5, engine="vectorized", n_jobs=2
+        eps=0.8, min_pts=5, engine="vectorized"
     ).fit(pts),
     "distributed-group": lambda pts: DBSCOUT(
         eps=0.8,
@@ -133,7 +130,6 @@ def test_every_detector_emits_a_complete_run_record(clustered_2d, name):
     "name",
     [
         "vectorized-serial",
-        "vectorized-sharded",
         "distributed-group",
         "distributed-broadcast",
     ],
@@ -193,22 +189,6 @@ def test_external_context_reports_per_run_deltas(clustered_2d):
     assert cumulative["tasks_executed"] >= (
         first.stats["tasks_executed"] * 2
     )
-
-
-def test_pool_counters_appear_for_sharded_runs(rng):
-    points = np.vstack(
-        [
-            rng.normal(0.0, 0.5, size=(400, 2)),
-            rng.uniform(-8.0, 8.0, size=(40, 2)),
-        ]
-    )
-    result = DBSCOUT(
-        eps=0.4, min_pts=4, engine="vectorized", n_jobs=2
-    ).fit(points)
-    assert result.stats["n_jobs"] == 2
-    if result.stats.get("pool.dispatches", 0):
-        assert result.stats["pool.shards"] >= 2
-        assert result.stats["pool.shared_bytes"] > 0
 
 
 def test_geographic_wrapper_propagates_the_record():
