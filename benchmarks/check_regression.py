@@ -21,9 +21,11 @@ the committed compiled-kernel capture) — the one-argument CI form.
   ``benchmarks/run_all.py --json``;
 * a results directory holding ``BENCH_*.json`` files.
 
-Run records are paired by run signature (engine, parameters, dataset
-shape, and engine configuration) in emission order, then diffed with
-:func:`repro.obs.diff_records`.  Any phase or total wall time growing
+Run records are paired by bench and run signature (engine,
+parameters, dataset shape, and engine configuration) in emission
+order, then diffed with :func:`repro.obs.diff_records`.  A record from
+a ``BENCH_*.json`` payload only pairs with one from the same bench;
+JSONL records carry no bench name and pair by signature alone.  Any phase or total wall time growing
 by more than ``--max-wall-regression`` (fraction) or any counter
 growing by more than ``--max-counter-regression`` flags a regression;
 the exit code is the number of flagged entries (0 = pass), which makes
@@ -47,18 +49,24 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.obs import RunRecord, diff_records, format_diff  # noqa: E402
 
 
-def _records_from_bench_payload(payload: dict) -> list[RunRecord]:
+#: A run record and the bench that emitted it (``None`` for JSONL).
+BenchRecord = tuple[str | None, RunRecord]
+
+
+def _records_from_bench_payload(payload: dict) -> list[BenchRecord]:
+    bench = payload.get("bench")
     return [
-        RunRecord.from_dict(item)
+        (bench, RunRecord.from_dict(item))
         for item in payload.get("run_records", [])
     ]
 
 
-def load_records(path: str | pathlib.Path) -> list[RunRecord]:
-    """Load run records from a JSONL file, BENCH json, or results dir."""
+def load_records(path: str | pathlib.Path) -> list[BenchRecord]:
+    """Load ``(bench, record)`` pairs from a JSONL file, BENCH json, or
+    results dir."""
     path = pathlib.Path(path)
     if path.is_dir():
-        records: list[RunRecord] = []
+        records: list[BenchRecord] = []
         for bench_file in sorted(path.glob("BENCH_*.json")):
             with open(bench_file, "r", encoding="utf-8") as handle:
                 records.extend(
@@ -78,7 +86,7 @@ def load_records(path: str | pathlib.Path) -> list[RunRecord]:
                 return _records_from_bench_payload(payload)
             # Fall through: JSONL where each line is a record dict.
             return [
-                RunRecord.from_dict(json.loads(line))
+                (None, RunRecord.from_dict(json.loads(line)))
                 for line in text.splitlines()
                 if line.strip()
             ]
@@ -109,22 +117,22 @@ def run_signature(record: RunRecord) -> str:
 
 
 def pair_records(
-    baseline: list[RunRecord], candidate: list[RunRecord]
+    baseline: list[BenchRecord], candidate: list[BenchRecord]
 ) -> tuple[list[tuple[RunRecord, RunRecord]], int]:
-    """Pair records with equal signatures in emission order.
+    """Pair records of one bench with equal signatures in emission order.
 
     Returns the pairs plus the number of unmatched records (present on
     only one side — a changed bench matrix, not a regression).
     """
     from collections import defaultdict
 
-    base_groups: dict[str, list[RunRecord]] = defaultdict(list)
-    for record in baseline:
-        base_groups[run_signature(record)].append(record)
+    base_groups: dict[tuple, list[RunRecord]] = defaultdict(list)
+    for bench, record in baseline:
+        base_groups[bench, run_signature(record)].append(record)
     pairs: list[tuple[RunRecord, RunRecord]] = []
     unmatched = 0
-    for record in candidate:
-        group = base_groups.get(run_signature(record))
+    for bench, record in candidate:
+        group = base_groups.get((bench, run_signature(record)))
         if group:
             pairs.append((group.pop(0), record))
         else:

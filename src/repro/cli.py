@@ -38,6 +38,7 @@ import sys
 from typing import Sequence
 
 from repro import DBSCOUT, __version__, estimate_eps
+from repro.core.kernels import KERNEL_NAMES
 from repro.datasets import (
     make_blobs,
     make_circles,
@@ -102,10 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detect.add_argument(
         "--kernel",
-        choices=("auto", "numpy", "c"),
-        default="auto",
-        help="distance-kernel tier (auto picks the compiled C kernel "
-        "when a compiler is available; labels are identical)",
+        choices=KERNEL_NAMES,
+        help="the vectorized engine's distance-kernel tier (default auto: "
+        "the compiled C kernel when a compiler is available; labels are "
+        "identical)",
     )
     detect.add_argument(
         "--output", help="write outlier indices here instead of stdout"
@@ -164,9 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fit.add_argument(
         "--kernel",
-        choices=("auto", "numpy", "c"),
-        default="auto",
-        help="distance-kernel tier (labels are identical)",
+        choices=KERNEL_NAMES,
+        help="the vectorized engine's distance-kernel tier (default auto; "
+        "labels are identical)",
     )
     fit.add_argument(
         "--save-artifact",
@@ -380,6 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _kernel_option(args: argparse.Namespace) -> dict[str, str]:
+    """``--kernel`` as a DBSCOUT option, only when given: the
+    distributed engine takes none, and ``DBSCOUT`` rejects it there."""
+    return {} if args.kernel is None else {"kernel": args.kernel}
+
+
 def _run_detect(args: argparse.Namespace) -> int:
     from repro import obs
 
@@ -395,7 +402,7 @@ def _run_detect(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    engine_options = {"kernel": args.kernel}
+    engine_options = _kernel_option(args)
     if args.engine == "distributed":
         engine_options["num_partitions"] = args.num_partitions
     detector = DBSCOUT(
@@ -527,7 +534,7 @@ def _run_fit(args: argparse.Namespace) -> int:
         eps=eps,
         min_pts=args.min_pts,
         engine=args.engine,
-        kernel=args.kernel,
+        **_kernel_option(args),
     )
     result = detector.fit(points)
     name = args.name or pathlib.Path(args.save_artifact).stem

@@ -23,6 +23,7 @@ Example:
 
 from __future__ import annotations
 
+import inspect
 from typing import Any
 
 import numpy as np
@@ -60,11 +61,13 @@ class DBSCOUT:
             :class:`~repro.core.vectorized.VectorizedEngine`).  The
             distributed engine accepts ``num_partitions``,
             ``max_workers``, ``join_strategy``, ``context``,
-            ``kernel``, ``executor`` (``"local"`` or
-            ``"net"`` — drive registered remote workers over TCP), and
-            ``partitioner`` (``"rows"`` or ``"cells"`` — spatially
-            aware grid sharding); labels are bit-identical for every
-            combination of these too.
+            ``executor`` (``"local"`` or ``"net"`` — drive registered
+            remote workers over TCP), and ``partitioner`` (``"rows"``
+            or ``"cells"`` — spatially aware grid sharding); labels
+            are bit-identical for every combination of these too.  It
+            has no ``kernel``: its record tasks run the kernel
+            contract's scalar sum in Python.  Any other option raises
+            :class:`~repro.exceptions.ParameterError` naming it.
     """
 
     def __init__(
@@ -79,19 +82,21 @@ class DBSCOUT:
             raise ParameterError(
                 f"engine must be one of {_ENGINES}, got {engine!r}"
             )
-        if engine == "vectorized":
-            kernel = engine_options.pop("kernel", "auto")
-            if engine_options:
-                raise ParameterError(
-                    "the vectorized engine accepts only the kernel "
-                    "option; got " + ", ".join(sorted(engine_options))
-                )
-            # normalize_kernel raises ParameterError for invalid values.
-            self._engine: VectorizedEngine | DistributedEngine = (
-                VectorizedEngine(kernel=kernel)
+        engine_cls = (
+            VectorizedEngine if engine == "vectorized" else DistributedEngine
+        )
+        accepted = inspect.signature(engine_cls).parameters
+        unknown = sorted(set(engine_options) - set(accepted))
+        if unknown:
+            raise ParameterError(
+                f"the {engine} engine does not take "
+                f"{', '.join(unknown)}; its options are "
+                f"{', '.join(accepted)}"
             )
-        else:
-            self._engine = DistributedEngine(**engine_options)
+        # The engines raise ParameterError for invalid values.
+        self._engine: VectorizedEngine | DistributedEngine = engine_cls(
+            **engine_options
+        )
         self.engine_name = engine
         self._result: DetectionResult | None = None
         self._fit_points: np.ndarray | None = None

@@ -43,7 +43,6 @@ from repro.core.grid import (
     check_grid_domain,
     validate_points,
 )
-from repro.core.kernels import Kernel, normalize_kernel, resolve_kernel
 from repro.core.neighbors import NeighborStencil
 from repro.core.validation import validate_parameters
 from repro.exceptions import ParameterError
@@ -79,10 +78,6 @@ class DistributedEngine:
             ``context.metrics`` keep accumulating across fits (the
             cumulative cluster view); each ``DetectionResult`` reports
             this run's *delta* in ``stats``/``record``.
-        kernel: Distance-kernel tier for the per-record tasks
-            (``"auto"``/``"numpy"``/``"c"`` or a
-            :class:`~repro.core.kernels.Kernel`); labels are
-            bit-identical for every choice.
         executor: ``"local"`` (default) or ``"net"`` — forwarded to
             the engine-owned :class:`~repro.sparklite.Context`.  With
             ``"net"`` the engine drives registered remote workers (see
@@ -103,7 +98,6 @@ class DistributedEngine:
         max_workers: int = 1,
         join_strategy: str = "group",
         context: Context | None = None,
-        kernel: str | Kernel | None = "auto",
         executor: str | None = None,
         partitioner: str = "rows",
     ) -> None:
@@ -123,7 +117,6 @@ class DistributedEngine:
             )
         self.num_partitions = int(num_partitions)
         self.join_strategy = join_strategy
-        self.kernel = normalize_kernel(kernel)
         self.partitioner = partitioner
         self._cell_partitioner = (
             CellPartitioner(self.num_partitions)
@@ -174,8 +167,6 @@ class DistributedEngine:
             )
         n_dims = array.shape[1]
         stencil = NeighborStencil(n_dims)
-        kernel_counters: dict[str, int] = {}
-        kernel = resolve_kernel(self.kernel, kernel_counters)
         recorder = RunRecorder(
             engine=self.name,
             params={"eps": eps, "min_pts": min_pts},
@@ -183,7 +174,6 @@ class DistributedEngine:
                 "engine": self.name,
                 "join_strategy": self.join_strategy,
                 "num_partitions": self.num_partitions,
-                "kernel": kernel.name,
                 "executor": self.executor,
                 "partitioner": self.partitioner,
             },
@@ -207,7 +197,7 @@ class DistributedEngine:
             # Phase 3: core points identification.
             with recorder.span("core_points"):
                 core_points = self._find_core_points(
-                    grid, eps, min_pts, cell_map, kernel
+                    grid, eps, min_pts, cell_map
                 ).cache()
                 core_records = core_points.collect()
 
@@ -219,7 +209,7 @@ class DistributedEngine:
             # Phase 5: outliers identification.
             with recorder.span("outliers"):
                 outlier_records = self._find_outliers(
-                    grid, eps, cell_map, core_points, kernel
+                    grid, eps, cell_map, core_points
                 ).collect()
 
         run_metrics = self.context.metrics.delta(metrics_before)
@@ -227,8 +217,6 @@ class DistributedEngine:
         # net.*) go under sparklite.*, while telemetry harvested from
         # remote workers keeps its worker.* namespace.
         recorder.metrics.merge(EngineMetrics.qualify(run_metrics))
-        if kernel_counters:
-            recorder.metrics.merge(kernel_counters, namespace="engine")
         recorder.add_context(
             n_cells=len(cell_map),
             k_d=stencil.k_d,
@@ -301,7 +289,6 @@ class DistributedEngine:
         eps: float,
         min_pts: int,
         cell_map: CellMap,
-        kernel: Kernel | None = None,
     ) -> RDD:
         """Union of dense-cell core points and join-verified core points."""
         map_broadcast = self.context.broadcast(cell_map)
@@ -315,7 +302,7 @@ class DistributedEngine:
         ).flat_map(
             lambda record: _emit_to_neighbors(record, map_broadcast.value)
         )
-        counts = self._count_near_pairs(grid, to_check, eps, min_pts, kernel)
+        counts = self._count_near_pairs(grid, to_check, eps, min_pts)
         verified = (
             counts.filter(lambda kv: kv[1][0] >= min_pts)
             .map(lambda kv: kv[1][1])
@@ -328,7 +315,6 @@ class DistributedEngine:
         to_check: RDD,
         eps: float,
         min_pts: int,
-        kernel: Kernel | None = None,
     ) -> RDD:
         """Count, per checked point, neighbors within ``eps``.
 
@@ -343,10 +329,6 @@ class DistributedEngine:
         float boundary.
         """
         eps_sq = eps * eps
-        # The record-at-a-time tasks call the kernel's scalar distance;
-        # the NumPy tier's sq_dist is exactly the legacy module-level
-        # _sq_dist, and every tier returns the identical float.
-        sq_dist = kernel.sq_dist if kernel is not None else _sq_dist
 
         if self.join_strategy == "plain":
             pairs = grid.join(to_check, partitioner=self._cell_partitioner)
@@ -354,7 +336,7 @@ class DistributedEngine:
             def score(record):
                 join_cell, ((_qi, q), (cell, point)) = record
                 near = (
-                    join_cell == cell or sq_dist(point[1], q) <= eps_sq
+                    join_cell == cell or _sq_dist(point[1], q) <= eps_sq
                 )
                 return (point[0], (1 if near else 0, (cell, point)))
 
@@ -371,7 +353,7 @@ class DistributedEngine:
                 same_cell = join_cell == cell
                 count = 0
                 for _qi, q in neighbors:
-                    if same_cell or sq_dist(point[1], q) <= eps_sq:
+                    if same_cell or _sq_dist(point[1], q) <= eps_sq:
                         count += 1
                         if count >= min_pts:
                             break  # early termination (Sec. III-G2)
@@ -391,7 +373,7 @@ class DistributedEngine:
             for checked_cell, point in check_broadcast.value.get(cell, ()):
                 near = (
                     checked_cell == cell
-                    or sq_dist(point[1], q) <= eps_sq
+                    or _sq_dist(point[1], q) <= eps_sq
                 )
                 out.append((point[0], (1 if near else 0, (checked_cell, point))))
             return out
@@ -408,7 +390,6 @@ class DistributedEngine:
         eps: float,
         cell_map: CellMap,
         core_points: RDD,
-        kernel: Kernel | None = None,
     ) -> RDD:
         """Union of no-core-neighbor outliers and join-verified outliers."""
         map_broadcast = self.context.broadcast(cell_map)
@@ -424,7 +405,7 @@ class DistributedEngine:
             lambda record: _emit_to_core_neighbors(record, map_broadcast.value)
         )
         flags = self._outlier_flags(
-            grid, cell_map, core_points, to_check, eps, kernel
+            grid, cell_map, core_points, to_check, eps
         )
         verified = (
             flags.filter(lambda kv: kv[1][0])
@@ -439,7 +420,6 @@ class DistributedEngine:
         core_points: RDD,
         to_check: RDD,
         eps: float,
-        kernel: Kernel | None = None,
     ) -> RDD:
         """AND-reduce, per checked point, "farther than eps from this core".
 
@@ -448,7 +428,6 @@ class DistributedEngine:
         farther than ``eps`` (Definition 3).
         """
         eps_sq = eps * eps
-        sq_dist = kernel.sq_dist if kernel is not None else _sq_dist
 
         if self.join_strategy == "plain":
             pairs = core_points.join(
@@ -457,7 +436,7 @@ class DistributedEngine:
 
             def flag(record):
                 _cell, ((_qi, q), (cell, point)) = record
-                far = sq_dist(point[1], q) > eps_sq
+                far = _sq_dist(point[1], q) > eps_sq
                 return (point[0], (far, (cell, point)))
 
             return pairs.map(flag).reduce_by_key(_merge_flags)
@@ -474,7 +453,7 @@ class DistributedEngine:
                 _cell, (cores, (cell, point)) = record
                 still_outlier = True
                 for _qi, q in cores:
-                    if sq_dist(point[1], q) <= eps_sq:
+                    if _sq_dist(point[1], q) <= eps_sq:
                         still_outlier = False
                         break  # early termination (Sec. III-G2)
                 return (point[0], (still_outlier, (cell, point)))
@@ -490,7 +469,7 @@ class DistributedEngine:
             cell, (_qi, q) = record
             out = []
             for checked_cell, point in check_broadcast.value.get(cell, ()):
-                far = sq_dist(point[1], q) > eps_sq
+                far = _sq_dist(point[1], q) > eps_sq
                 out.append((point[0], (far, (checked_cell, point))))
             return out
 
@@ -503,7 +482,12 @@ class DistributedEngine:
 
 
 def _sq_dist(p: tuple[float, ...], q: tuple[float, ...]) -> float:
-    """Squared Euclidean distance between coordinate tuples."""
+    """Squared Euclidean distance between coordinate tuples.
+
+    A left-to-right ``sum`` runs the kernel contract's accumulation
+    (:mod:`repro.core.kernels.base`) as the same IEEE operation
+    sequence, so every record task matches the kernels bit for bit.
+    """
     return sum((a - b) * (a - b) for a, b in zip(p, q))
 
 

@@ -40,7 +40,9 @@ __all__ = [
     "resolve_kernel",
 ]
 
-#: Accepted values for every ``kernel=`` option (facade, engines, CLI).
+#: Accepted values for every ``kernel=`` option: the facade's
+#: vectorized engine, ``VectorizedEngine``, ``IncrementalDBSCOUT``,
+#: ``LiveDetector``, ``CoreModel.classify`` and the CLI's ``--kernel``.
 KERNEL_NAMES = ("auto", "numpy", "c")
 
 _NUMPY_KERNEL = NumpyKernel()

@@ -1,6 +1,6 @@
 /* Compiled pair-counting kernel for the DBSCOUT engines.
  *
- * Every function reproduces the repository's exact float contract
+ * The kernel reproduces the repository's exact float contract
  * (see repro/core/kernels/base.py): squared distances accumulate one
  * dimension at a time in order --
  *
@@ -73,17 +73,4 @@ int64_t repro_segmented_pair_counts(
         out += m;
     }
     return total_pairs;
-}
-
-/* Scalar squared distance; the distributed engine's record-at-a-time
- * SparkLite tasks call this through Kernel.sq_dist. */
-double repro_sq_dist(const double *p, const double *q, int64_t n_dims)
-{
-    double acc = 0.0;
-    int64_t dim;
-    for (dim = 0; dim < n_dims; dim++) {
-        const double delta = p[dim] - q[dim];
-        acc += delta * delta;
-    }
-    return acc;
 }

@@ -23,13 +23,12 @@ bit-for-bit:
 * per-member counts are exact integers, so any batching of the cell
   segments reproduces the same result.
 
-:class:`Kernel` captures that contract behind two entry points:
-
-* :meth:`Kernel.segmented_pair_counts` — the engines' flat-batch hot
-  loop (``VectorizedEngine``, ``IncrementalDBSCOUT`` and
-  ``CoreModel.classify`` all feed it);
-* :meth:`Kernel.sq_dist` — the scalar form used by the distributed
-  engine's record-at-a-time SparkLite tasks.
+:class:`Kernel` captures that contract behind one entry point,
+:meth:`Kernel.segmented_pair_counts` — the engines' flat-batch hot
+loop (``VectorizedEngine``, ``IncrementalDBSCOUT`` and
+``CoreModel.classify`` all feed it).  The distributed engine's
+record-at-a-time SparkLite tasks run the same accumulation as a
+left-to-right Python ``sum`` and never load a kernel.
 
 Implementations: :class:`repro.core.kernels.numpy_kernel.NumpyKernel`
 (pure NumPy, always available) and
@@ -91,18 +90,6 @@ class Kernel(ABC):
         Returns:
             int64 counts aligned with ``members_flat``.
         """
-
-    def sq_dist(
-        self, p: tuple[float, ...], q: tuple[float, ...]
-    ) -> float:
-        """Scalar squared distance between two coordinate sequences.
-
-        The default runs the contract's accumulation directly in
-        Python — a left-to-right ``sum`` performs the identical IEEE
-        operation sequence, so every implementation returns the same
-        float.  Subclasses may override with a faster path.
-        """
-        return sum((a - b) * (a - b) for a, b in zip(p, q))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

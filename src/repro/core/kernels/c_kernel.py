@@ -170,12 +170,6 @@ def _load(path: pathlib.Path) -> ctypes.CDLL:
             ctypes.c_double,  # eps_sq
             _C_INT64_P,  # counts_out
         ]
-        lib.repro_sq_dist.restype = ctypes.c_double
-        lib.repro_sq_dist.argtypes = [
-            _C_DOUBLE_P,
-            _C_DOUBLE_P,
-            ctypes.c_int64,
-        ]
     except AttributeError as exc:
         raise KernelBuildError(
             f"compiled kernel {path} is missing symbols: {exc}"
@@ -247,35 +241,6 @@ class CKernel(Kernel):
             "distance_computations", 0
         ) + int(total_pairs)
         return counts_out
-
-    def sq_dist(
-        self, p: tuple[float, ...], q: tuple[float, ...]
-    ) -> float:
-        a = _as_f64(np.asarray(p, dtype=np.float64))
-        b = _as_f64(np.asarray(q, dtype=np.float64))
-        if a.shape[0] == 0:
-            return 0.0
-        return float(
-            self._lib.repro_sq_dist(_f64_ptr(a), _f64_ptr(b), a.shape[0])
-        )
-
-    def __reduce__(self):
-        # A ctypes CDLL cannot cross a process boundary.  Ship a
-        # re-resolution instead: the receiving process rebuilds (or
-        # reloads) its own compiled kernel, falling back to NumPy —
-        # bit-identical by the kernel contract — when it has no
-        # compiler.
-        return (_rehydrated_kernel, ())
-
-
-def _rehydrated_kernel() -> Kernel:
-    """Worker-side stand-in for a pickled :class:`CKernel`."""
-    try:
-        return get_c_kernel()
-    except KernelBuildError:
-        from repro.core.kernels.numpy_kernel import NumpyKernel
-
-        return NumpyKernel()
 
 
 #: Build outcome cache keyed by (compiler, cache dir): either the

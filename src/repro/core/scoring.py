@@ -16,9 +16,14 @@ core point one ulp beyond ``eps**2`` gets a square root of exactly
 ``eps``).  :func:`detect_with_scores` therefore takes its masks from
 the detector's own rounds, not from the scores.
 
-The computation reuses the grid/stencil machinery and stays linear:
-each non-core point is compared only against core points of its
-neighboring cells.
+After the vectorized engine's core round, one plan of that engine
+(:func:`repro.core.vectorized._plan_cell_jobs`) pairs the members of
+every cell holding a non-core point with the core points of its
+neighboring core cells, and the NumPy kernel's batch loop takes each
+member's least squared distance in the kernel's accumulation order
+(:func:`repro.core.kernels.numpy_kernel.segmented_min_sq_dist`).  The
+work stays linear, and a score is ``sqrt`` of exactly the squared
+distance the kernel compares with ``eps**2``.
 """
 
 from __future__ import annotations
@@ -26,9 +31,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.grid import Grid, validate_points
+from repro.core.kernels.numpy_kernel import segmented_min_sq_dist
 from repro.core.neighbors import NeighborStencil
 from repro.core.validation import validate_parameters
-from repro.core.vectorized import VectorizedEngine, _CellAdjacency
+from repro.core.vectorized import (
+    VectorizedEngine,
+    _CellAdjacency,
+    _plan_cell_jobs,
+)
 from repro.obs import RunRecorder
 from repro.types import DetectionResult
 
@@ -96,32 +106,27 @@ def _score(
                 array, grid, adjacency, dense_cells, eps, min_pts, counters
             )
         with recorder.span("scores"):
-            scores = np.full(n_points, np.inf, dtype=np.float64)
-            scores[core_mask] = 0.0
             cell_has_core = VectorizedEngine._core_cell_map(
                 grid, dense_cells, core_mask
             )
-            for cell_index in range(grid.n_cells):
-                members = grid.cell_members(cell_index)
-                targets = members[~core_mask[members]]
-                if targets.size == 0:
-                    continue
-                neighbor_cells = adjacency.neighbors(cell_index)
-                core_neighbor_cells = neighbor_cells[
-                    cell_has_core[neighbor_cells]
-                ]
-                if core_neighbor_cells.size == 0:
-                    continue  # stays inf
-                candidates = np.concatenate(
-                    [grid.cell_members(nc) for nc in core_neighbor_cells]
+            has_non_core = np.zeros(grid.n_cells, dtype=bool)
+            has_non_core[grid.point_cell[~core_mask]] = True
+            work = np.flatnonzero(has_non_core)
+            # No self seeding and no box tests: a member's own cell is a
+            # candidate cell when it is core.  The pairs are not counted.
+            members_flat, m_sizes, cands_flat, c_sizes, _, _ = (
+                _plan_cell_jobs(
+                    grid, work, adjacency.rows(work), cell_has_core,
+                    core_mask, None, eps * eps, {},
                 )
-                candidates = candidates[core_mask[candidates]]
-                diffs = (
-                    array[targets][:, None, :]
-                    - array[candidates][None, :, :]
+            )
+            scores = np.full(n_points, np.inf, dtype=np.float64)
+            scores[members_flat] = np.sqrt(
+                segmented_min_sq_dist(
+                    array, members_flat, m_sizes, cands_flat, c_sizes
                 )
-                sq = np.einsum("ijk,ijk->ij", diffs, diffs)
-                scores[targets] = np.sqrt(sq.min(axis=1))
+            )
+            scores[core_mask] = 0.0
         if outliers:
             with recorder.span("outliers"):
                 outlier_mask = VectorizedEngine._find_outliers(

@@ -1,13 +1,12 @@
 """Tests for the exact grid-based DBSCAN baseline."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro import detect_outliers
-from repro.baselines.dbscan import NOISE, DBSCAN
+from repro.baselines.dbscan import DBSCAN
 from repro.baselines.grid_dbscan import GridDBSCAN
 
 

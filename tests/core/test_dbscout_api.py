@@ -33,6 +33,15 @@ class TestConstruction:
             DBSCOUT(eps=1.0, min_pts=5, num_partitions=4)
 
     @pytest.mark.parametrize(
+        "option", [{"kernel": "c"}, {"bogus": 1}], ids=["kernel", "unknown"]
+    )
+    def test_distributed_rejects_options_it_does_not_take(self, option):
+        # The distributed engine's record tasks have no kernel tier.
+        (name,) = option
+        with pytest.raises(ParameterError, match=name):
+            DBSCOUT(eps=1.0, min_pts=5, engine="distributed", **option)
+
+    @pytest.mark.parametrize(
         "eps,min_pts", [(-1.0, 5), (0.0, 5), (1.0, 0), (1.0, -3), (1.0, 1.5)]
     )
     def test_invalid_parameters(self, eps, min_pts):

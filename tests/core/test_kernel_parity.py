@@ -124,10 +124,6 @@ class TestCKernelParity:
         counts = segmented_pair_counts(*args, 0.8, {}, pair_budget=pair_budget)
         np.testing.assert_array_equal(expected, counts)
 
-    def test_sq_dist_matches_python(self):
-        p, q = (0.1, 0.2, 0.3), (1.7, -0.4, 2.25)
-        assert get_c_kernel().sq_dist(p, q) == NumpyKernel().sq_dist(p, q)
-
     @pytest.mark.parametrize("eps", [0.3, 0.5, 1.0])
     @pytest.mark.parametrize("min_pts", [2, 5])
     @pytest.mark.parametrize("n_dims", [1, 2, 4])

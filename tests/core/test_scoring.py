@@ -71,6 +71,26 @@ class TestScores:
     def test_empty(self):
         assert nearest_core_distance(np.zeros((0, 2)), 1.0, 3).shape == (0,)
 
+    @pytest.mark.parametrize("seed", [23, 200, 363, 446, 469])
+    def test_within_eps_scores_are_kernel_order_minimum(self, seed):
+        # A score is sqrt of the squared distance the kernel compares
+        # with eps**2 (per-dimension accumulation, in order); a
+        # differently associated sum lands an ulp off on these cases.
+        dataset = generate_dataset(seed)
+        points, eps = dataset.points, dataset.eps
+        core = brute_force_core_mask(points, eps, dataset.min_pts)
+        sq = np.zeros((points.shape[0], int(core.sum())))
+        for dim in range(points.shape[1]):
+            delta = points[:, dim, None] - points[None, core, dim]
+            sq += delta * delta
+        nearest = sq.min(axis=1)
+        within = ~core & (nearest <= eps * eps)
+        assert within.any()
+        scores = nearest_core_distance(points, eps, dataset.min_pts)
+        np.testing.assert_array_equal(
+            scores[within], np.sqrt(nearest[within])
+        )
+
 
 class TestDetectWithScores:
     def test_consistent_with_plain_detector(self, clustered_2d):

@@ -1,7 +1,6 @@
 """Tests for the extended SparkLite operations."""
 
 import random
-from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings

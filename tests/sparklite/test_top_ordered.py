@@ -1,7 +1,5 @@
 """Tests for RDD.top / RDD.take_ordered."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -74,6 +74,23 @@ class TestDetect:
         assert code == 0
         assert capsys.readouterr().out.split() == ["150", "151"]
 
+    @pytest.mark.parametrize("command", ["detect", "fit"])
+    def test_distributed_engine_rejects_kernel(
+        self, points_file, tmp_path, capsys, command
+    ):
+        # --kernel picks the vectorized engine's tier; the distributed
+        # engine takes none, so an explicit one is a clean error.
+        argv = [
+            command, str(points_file), "--eps", "1.0", "--min-pts", "5",
+            "--engine", "distributed", "--kernel", "c",
+        ]
+        if command == "fit":
+            argv += ["--save-artifact", str(tmp_path / "model.npz")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the distributed engine does not take")
+        assert "kernel" in err
+
     def test_stats_flag(self, points_file, capsys):
         code = main(
             [
