@@ -25,9 +25,10 @@ Run records are paired by bench and run signature (engine,
 parameters, dataset shape, and engine configuration) in emission
 order, then diffed with :func:`repro.obs.diff_records`.  A record from
 a ``BENCH_*.json`` payload only pairs with one from the same bench;
-JSONL records carry no bench name and pair by signature alone.  Any phase or total wall time growing
-by more than ``--max-wall-regression`` (fraction) or any counter
-growing by more than ``--max-counter-regression`` flags a regression;
+JSONL records carry no bench name and pair by signature alone.  Any
+phase or total wall time growing by more than
+``--max-wall-regression`` (fraction) or any counter growing by more
+than ``--max-counter-regression`` flags a regression;
 the exit code is the number of flagged entries (0 = pass), which makes
 the script directly usable as a CI gate.
 

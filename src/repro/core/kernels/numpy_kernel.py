@@ -33,10 +33,10 @@ def _pair_batches(
 
     Each batch covers whole cells and at most ``pair_budget`` pairs
     (one cell may exceed it alone).  Yields ``(members, sq,
-    run_lengths)``: the slice of ``members_flat`` the batch covers,
-    the squared distance of every member x candidate pair (each member
-    owns one contiguous run), and each member's run length.  Batches
-    without pairs are skipped.
+    run_starts)``: the slice of ``members_flat`` the batch covers, the
+    squared distance of every member x candidate pair, and the offsets
+    of each member's contiguous run of pairs in ``sq`` (one more entry
+    than members).  Batches without pairs are skipped.
     """
     n_cells = m_sizes.shape[0]
     if n_cells == 0 or members_flat.shape[0] == 0:
@@ -44,6 +44,7 @@ def _pair_batches(
     member_offsets = np.concatenate(([0], np.cumsum(m_sizes)))
     cand_offsets = np.concatenate(([0], np.cumsum(c_sizes)))
     cum_pairs = np.cumsum(m_sizes * c_sizes)
+    n_dims = array.shape[1]
     start_cell = 0
     while start_cell < n_cells:
         base = int(cum_pairs[start_cell - 1]) if start_cell else 0
@@ -70,26 +71,26 @@ def _pair_batches(
         cand_local_start = np.repeat(
             np.concatenate(([0], np.cumsum(c_sz)[:-1])), m_sz
         )
-        run_starts = np.cumsum(run_lengths) - run_lengths
+        run_starts = np.concatenate(([0], np.cumsum(run_lengths)))
         pos_in_run = np.arange(total_pairs, dtype=np.int64) - np.repeat(
-            run_starts, run_lengths
+            run_starts[:-1], run_lengths
         )
         cand_idx = cands[
             np.repeat(cand_local_start, run_lengths) + pos_in_run
         ]
         sq = np.zeros(total_pairs, dtype=np.float64)
-        for dim in range(array.shape[1]):
+        for dim in range(n_dims):
             delta = array[target_idx, dim] - array[cand_idx, dim]
             sq += delta * delta
-        yield members, sq, run_lengths
+        yield members, sq, run_starts
 
 
-def _per_member(ufunc, values, run_lengths, empty):
-    """``ufunc`` reduced over each member's run; ``empty`` for none."""
-    out = np.full(run_lengths.shape[0], empty, dtype=values.dtype)
-    nonempty = run_lengths > 0
-    starts = np.cumsum(run_lengths) - run_lengths
-    out[nonempty] = ufunc.reduceat(values, starts[nonempty])
+def _per_member(ufunc, values, run_starts, empty):
+    """``ufunc`` reduced over each member's run of ``values``;
+    ``empty`` for a member without pairs."""
+    out = np.full(run_starts.shape[0] - 1, empty, dtype=values.dtype)
+    nonempty = np.diff(run_starts) > 0
+    out[nonempty] = ufunc.reduceat(values, run_starts[:-1][nonempty])
     return out
 
 
@@ -115,14 +116,14 @@ def segmented_pair_counts(
         Counts aligned with ``members_flat``.
     """
     counts_out = np.zeros(members_flat.shape[0], dtype=np.int64)
-    for members, sq, run_lengths in _pair_batches(
+    for members, sq, run_starts in _pair_batches(
         array, members_flat, m_sizes, cands_flat, c_sizes, pair_budget
     ):
         counters["distance_computations"] = (
             counters.get("distance_computations", 0) + sq.shape[0]
         )
         within = (sq <= eps_sq).astype(np.int64)
-        counts_out[members] = _per_member(np.add, within, run_lengths, 0)
+        counts_out[members] = _per_member(np.add, within, run_starts, 0)
     return counts_out
 
 
@@ -139,11 +140,11 @@ def segmented_min_sq_dist(
     ``inf`` for a member without candidates.
     """
     out = np.full(members_flat.shape[0], np.inf)
-    for members, sq, run_lengths in _pair_batches(
+    for members, sq, run_starts in _pair_batches(
         array, members_flat, m_sizes, cands_flat, c_sizes,
         DEFAULT_PAIR_BUDGET,
     ):
-        out[members] = _per_member(np.minimum, sq, run_lengths, np.inf)
+        out[members] = _per_member(np.minimum, sq, run_starts, np.inf)
     return out
 
 
