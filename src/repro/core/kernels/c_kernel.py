@@ -6,7 +6,10 @@ The kernel ships as one dependency-free C source file
 under ``$REPRO_KERNEL_CACHE`` (default ``~/.cache/repro/kernels``) and
 loaded via :mod:`ctypes` — no numba/Cython/build-system dependency.
 The cache key hashes the source and the compile command, so editing
-either transparently rebuilds.
+either transparently rebuilds.  The library exports one function,
+``repro_segmented_pair_counts``, behind
+:meth:`CKernel.segmented_pair_counts`; a loaded :class:`CKernel` holds
+a ctypes handle and is never shipped to another process.
 
 Bit-exactness: the C loops accumulate ``acc += delta * delta`` one
 dimension at a time — the same IEEE operation sequence per pair as the
